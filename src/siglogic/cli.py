@@ -14,7 +14,8 @@ re-ingested on every load (skolemization is deterministic).  An
 equivalence file holds one link per line: two tab-separated keys, each
 `lang|namespace|class|name|arity`.
 
-Exit codes: 0 success, 1 parse/normalize error, 2 usage error.
+Exit codes: 0 success, 1 parse/normalize error or key conflict, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -128,8 +129,15 @@ def _load_kb(path) -> kb.FactStore:
             if not line.strip():
                 continue
             sig = _normalize_line(path, i, line, Dialect.NORMALIZED.value, None)
-            kb.ingest_signature(store, sig)
+            _ingest_line(store, path, i, sig)
     return store
+
+
+def _ingest_line(store, path, lineno, sig) -> int:
+    try:
+        return kb.ingest_signature(store, sig)
+    except kb.KeyConflict as e:
+        raise _LineError(path, lineno, str(e))
 
 
 def _parse_key(text, path, lineno) -> FunctionKey:
@@ -217,28 +225,27 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 print(logic.print_formula(formula), file=out)
 
         elif args.command == "ingest":
-            lines = []
+            entries = []
             for path, lineno, line in _iter_lines(args.inputs, stdin):
                 sig = _normalize_line(path, lineno, line, args.dialect, args.lang)
                 if sig is not None:
-                    lines.append(dsl.print_signature(sig))
+                    entries.append((path, lineno, sig))
             try:
                 store = _load_kb(args.kb)
             except FileNotFoundError:
                 store = kb.FactStore()
             new_facts = 0
             new_sigs = []
-            for line in lines:
-                sig = dsl.parse_signature(line)
-                added = kb.ingest_signature(store, sig)
+            for path, lineno, sig in entries:
+                added = _ingest_line(store, path, lineno, sig)
                 if added:
-                    new_sigs.append(line)
+                    new_sigs.append(sig)
                 new_facts += added
             with open(args.kb, "a", encoding="utf-8") as fh:
-                for line in new_sigs:
-                    fh.write(line + "\n")
+                for sig in new_sigs:
+                    fh.write(dsl.print_signature(sig) + "\n")
             print(
-                "ingested %d signatures, %d new facts" % (len(lines), new_facts),
+                "ingested %d signatures, %d new facts" % (len(entries), new_facts),
                 file=out,
             )
 

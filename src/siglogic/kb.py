@@ -4,8 +4,11 @@ Ingesting a ground signature skolemizes its compiled formula: each bound
 variable is replaced by a deterministic witness constant derived from the
 function's identity.  Namespace witnesses are shared across functions of
 the same (lang, namespace); class witnesses across (lang, namespace,
-class).  Queries are signatures with wildcards; answering is backtracking
-unification of the query's compiled atoms against the stored facts.
+class).  The store of record is a table of the ingested signatures by
+FunctionKey; the facts are derived from it.  Queries are signatures with
+wildcards, answered by slot-by-slot matching against the table.  The
+backtracking unifier of the query's compiled atoms against the facts is
+kept as the oracle, `brute_force_answer`.
 """
 
 from __future__ import annotations
@@ -25,20 +28,16 @@ from .logic import (
     Var,
     binder_names,
     compile_signature,
-    expand_equiv,
     print_atom,
 )
 from .model import (
-    UNK,
     Const,
     EquivIn,
     FunctionKey,
     NotGround,
-    Param,
     Plain,
     Signature,
     Unk,
-    Wildcard,
     function_key,
     is_ground,
     slot_token,
@@ -61,7 +60,6 @@ class KeyConflict(ValueError):
 
 @dataclass(frozen=True)
 class SkolemConst:
-    kind: str  # function | return | param | namespace | class
     id: str
 
     def __str__(self):
@@ -75,23 +73,23 @@ def _key_id(key: FunctionKey) -> str:
 
 
 def fn_skolem(key: FunctionKey) -> SkolemConst:
-    return SkolemConst("function", "fn:" + _key_id(key))
+    return SkolemConst("fn:" + _key_id(key))
 
 
 def ret_skolem(key: FunctionKey) -> SkolemConst:
-    return SkolemConst("return", "ret:" + _key_id(key))
+    return SkolemConst("ret:" + _key_id(key))
 
 
 def param_skolem(key: FunctionKey, position: int) -> SkolemConst:
-    return SkolemConst("param", "par:%s.%d" % (_key_id(key), position))
+    return SkolemConst("par:%s.%d" % (_key_id(key), position))
 
 
 def ns_skolem(lang: str, namespace: str) -> SkolemConst:
-    return SkolemConst("namespace", "ns:%s.%s" % (lang, namespace))
+    return SkolemConst("ns:%s.%s" % (lang, namespace))
 
 
 def cls_skolem(lang: str, namespace: str, class_name: str) -> SkolemConst:
-    return SkolemConst("class", "cls:%s.%s.%s" % (lang, namespace, class_name))
+    return SkolemConst("cls:%s.%s.%s" % (lang, namespace, class_name))
 
 
 @dataclass(frozen=True)
@@ -113,21 +111,24 @@ class Binding:
 
 
 class FactStore:
-    """Ground atoms indexed by predicate and by (predicate, first arg)."""
+    """Ingested signatures by FunctionKey, and their skolemized facts.
+
+    The signature table is the store of record; the facts are derived
+    from it and indexed by predicate and by (predicate, first arg).
+    """
 
     def __init__(self):
+        self._sigs = {}
         self._facts = set()
         self._by_pred = defaultdict(set)
         self._by_pred_first = defaultdict(set)
-        self._keys = set()
-        self._key_by_skolem = {}
 
     def __len__(self):
         return len(self._facts)
 
     @property
     def keys(self):
-        return frozenset(self._keys)
+        return self._sigs.keys()
 
     def facts(self, pred: str, first: Term = None):
         if first is not None:
@@ -144,10 +145,20 @@ class FactStore:
 
 
 def ingest_signature(store: FactStore, sig: Signature) -> int:
-    """Skolemize compile(sig) into the store; returns newly added facts."""
+    """Store sig and skolemize compile(sig) into facts; returns newly added facts.
+
+    Re-ingesting the identical signature adds nothing; any other signature
+    under a stored key, even one differing only in the vararg flag, raises
+    KeyConflict.
+    """
     if not is_ground(sig):
         raise NotGround("only ground signatures can be ingested")
     key = function_key(sig)
+    stored = store._sigs.get(key)
+    if stored is not None:
+        if stored == sig:
+            return 0
+        raise KeyConflict("differing signature already stored for %s" % (key,))
     formula = compile_signature(sig)
     lambdas, ent = binder_names(sig)
     witness = {
@@ -166,62 +177,17 @@ def ingest_signature(store: FactStore, sig: Signature) -> int:
             return App(ground(term.fn), tuple(ground(a) for a in term.args))
         return term
 
-    ground_atoms = [
-        Atom(atom.pred, tuple(ground(t) for t in atom.args))
-        for atom in formula.atoms
-    ]
-    if key in store._keys:
-        if all(a in store._facts for a in ground_atoms):
-            return 0
-        raise KeyConflict("differing signature already stored for %s" % (key,))
     added = 0
-    for atom in ground_atoms:
-        if store._add(atom):
+    for atom in formula.atoms:
+        if store._add(Atom(atom.pred, tuple(ground(t) for t in atom.args))):
             added += 1
-    store._keys.add(key)
-    store._key_by_skolem[fn_skolem(key)] = key
+    store._sigs[key] = sig
     return added
 
 
 def reconstruct_signature(store: FactStore, key: FunctionKey) -> Signature:
-    """Rebuild the ingested signature of `key` from its facts.
-
-    Vararg-ness is not recorded in the fact schema, so the rebuilt
-    signature never carries the vararg flag; matching never consults it
-    on the stored side.
-    """
-    if key not in store._keys:
-        raise KeyError(key)
-
-    def tok_slot(token: str):
-        return UNK if token == "UNK" else Const(token)
-
-    ret_tok = _second_token(store, "type", ret_skolem(key))
-    params = []
-    for j in range(1, key.arity + 1):
-        sk = param_skolem(key, j)
-        params.append(
-            Param(
-                tok_slot(_second_token(store, "type", sk)),
-                tok_slot(_second_token(store, "var", sk)),
-                j,
-            )
-        )
-    return Signature(
-        lang=tok_slot(key.lang),
-        namespace=tok_slot(key.namespace),
-        class_name=tok_slot(key.class_name),
-        head=Plain(Const(key.name)),
-        params=tuple(params),
-        ret=tok_slot(ret_tok),
-    )
-
-
-def _second_token(store: FactStore, pred: str, first: Term) -> str:
-    for fact in store.facts(pred, first):
-        if isinstance(fact.args[1], ConstTok):
-            return fact.args[1].token
-    raise KeyError((pred, first))
+    """The signature ingested under `key`, exactly as it was ingested."""
+    return store._sigs[key]
 
 
 class EquivStore:
@@ -252,10 +218,6 @@ class EquivStore:
         return frozenset(
             k for k in self._parent if self._find(k) == root
         ) | {key}
-
-
-def add_eq(store: EquivStore, a: FunctionKey, b: FunctionKey):
-    store.add_eq(a, b)
 
 
 def _unify(query: Term, fact: Term, binds: dict, formula: Formula):
@@ -294,19 +256,39 @@ def _unify(query: Term, fact: Term, binds: dict, formula: Formula):
 
 
 def answer(store: FactStore, query: Signature) -> set:
-    """All bindings of the query's wildcards against the stored facts."""
+    """All bindings of the query's wildcards against the stored signatures.
+
+    Each stored signature is matched slot by slot against the query.
+    """
+    if isinstance(query.head, EquivIn):
+        raise UnsupportedHead("EquivIn queries go through answer_equiv")
+    results = set()
+    for key, sig in store._sigs.items():
+        binds = _match_signature(query, sig)
+        if binds is not None:
+            results.add(Binding(key, tuple(binds.items())))
+    return results
+
+
+def brute_force_answer(store: FactStore, query: Signature) -> set:
+    """Oracle for answer(): backtracking unification over the facts.
+
+    The query's compiled atoms are unified, in compiler order, against the
+    skolemized facts; function witnesses map back to keys at the end.
+    """
     if isinstance(query.head, EquivIn):
         raise UnsupportedHead("EquivIn queries go through answer_equiv")
     formula = compile_signature(query)
     _, ent = binder_names(query)
     labels = wildcard_labels(query)
     atoms = formula.atoms
+    key_by_fn = {fn_skolem(key): key for key in store.keys}
     results = set()
 
     def solve(i, binds):
         if i == len(atoms):
             fn = binds.get(ent["f"])
-            key = store._key_by_skolem.get(fn)
+            key = key_by_fn.get(fn)
             if key is None:
                 return
             results.add(
@@ -323,7 +305,7 @@ def answer(store: FactStore, query: Signature) -> set:
             # the value entity is the matched function's own return witness;
             # without this the join is loose for zero-arity functions
             fn = binds.get(ent["f"])
-            key = store._key_by_skolem.get(fn)
+            key = key_by_fn.get(fn)
             if key is None:
                 return
             candidates = store.facts("eq", ret_skolem(key))
@@ -353,19 +335,6 @@ def _ground_token(term: Term) -> str:
     if isinstance(term, ConstTok):
         return term.token
     raise LogicError("wildcard bound to a non-constant term: %r" % (term,))
-
-
-def brute_force_answer(store: FactStore, query: Signature) -> set:
-    """Oracle for answer(): slot-by-slot comparison per stored function."""
-    if isinstance(query.head, EquivIn):
-        raise UnsupportedHead("EquivIn queries go through answer_equiv")
-    results = set()
-    for key in store.keys:
-        sig = reconstruct_signature(store, key)
-        binds = _match_signature(query, sig)
-        if binds is not None:
-            results.add(Binding(key, tuple(binds.items())))
-    return results
 
 
 def _match_slot(qslot, token: str, binds: dict):
@@ -407,10 +376,9 @@ def _match_signature(query: Signature, sig: Signature):
 
 
 def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
-    """Resolve an EquivIn query jointly over facts and the equivalence store."""
+    """Resolve an EquivIn query over the stored signatures and the EquivStore."""
     if not isinstance(query.head, EquivIn):
         raise NotEquivHead("answer_equiv requires an EquivIn head")
-    _base, target_pattern, _link = expand_equiv(query)
     base_sig = replace(query, head=Plain(Const(query.head.base_name)))
     sources = answer(facts, base_sig)
     if not sources:
@@ -423,20 +391,16 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
         for member in eqs.class_of(source.key):
             if member.lang.lower() != target_lang:
                 continue
-            if member not in facts.keys:
+            member_sig = facts._sigs.get(member)
+            if member_sig is None:
                 continue
-            member_sig = reconstruct_signature(facts, member)
             mapping = dict(source.items)
             mapping["f'"] = member.name
             mapping["N"] = member.namespace
             mapping["C"] = member.class_name
-            mapping["r"] = _ret_token(member_sig)
+            mapping["r"] = slot_token(member_sig.ret)
             results.add(Binding(member, tuple(mapping.items())))
     return results
-
-
-def _ret_token(sig: Signature) -> str:
-    return slot_token(sig.ret)
 
 
 def dump_facts(store: FactStore):

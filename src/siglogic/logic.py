@@ -307,9 +307,6 @@ def validate_formula(formula: Formula):
             check_term(term.fn)
             for a in term.args:
                 check_term(a)
-        elif not isinstance(term, (Var, ConstTok)):
-            # skolem constants are fine in ground (KB) atoms
-            pass
 
     for atom in formula.atoms:
         # Atom.__post_init__ enforces arity; re-check placement here

@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from siglogic.cli import run
 
@@ -190,3 +192,91 @@ def test_missing_kb_file_is_reported(tmp_path):
     )
     assert code == 1
     assert "nope.txt" in err
+
+
+PHP_MAX_QUERY = "php N? C?::max(?) -> r?"
+
+
+def test_query_prints_vararg_back(kb_path):
+    code, out, _ = _run(["query", PHP_MAX_QUERY, "--kb", kb_path])
+    assert code == 0
+    assert out.splitlines()[0] == PHP_MAX
+
+
+def test_query_porcelain_prints_vararg_back(kb_path):
+    code, out, _ = _run(["query", PHP_MAX_QUERY, "--kb", kb_path, "--porcelain"])
+    assert code == 0
+    assert out == PHP_MAX + "\tC=builtin\tN=core\tr=mixed\n"
+
+
+def test_ingest_key_conflict_is_a_line_diagnostic(tmp_path):
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text(PHP_MAX + "\n", encoding="utf-8")
+    new = tmp_path / "new.txt"
+    new.write_text(JAVA_MAX + "\n" + PHP_MAX.replace(",...", "") + "\n",
+                   encoding="utf-8")
+    code, _, err = _run(["ingest", "--kb", str(kb_file), str(new)])
+    assert code == 1
+    assert err.startswith("%s:2: differing signature already stored for" % new)
+    assert kb_file.read_text(encoding="utf-8") == PHP_MAX + "\n"
+
+
+@pytest.mark.parametrize("command", ["query", "equiv", "facts", "ingest"])
+def test_conflicting_kb_file_is_a_line_diagnostic(tmp_path, command):
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text(
+        JAVA_MAX + "\n\n" + JAVA_MAX.replace("long:b", "long:c") + "\n",
+        encoding="utf-8",
+    )
+    links = tmp_path / "links.txt"
+    links.write_text("", encoding="utf-8")
+    argv = {
+        "query": ["query", WILDCARD_QUERY],
+        "equiv": ["equiv", "java lang Math::EquivIn(max,php)(?) -> r?",
+                  "--eq", str(links)],
+        "facts": ["facts"],
+        "ingest": ["ingest"],
+    }[command]
+    code, _, err = _run(argv + ["--kb", str(kb_file)])
+    assert code == 1
+    assert err.startswith("%s:3: differing signature already stored for" % kb_file)
+
+
+# Lines near the DSL grammar, so that fuzzed files reach past the parser;
+# each signature comes with a variant that conflicts with it.
+_FIXTURE_TEXT = [
+    JAVA_MAX,
+    JAVA_MAX.replace("long:b", "long:c"),
+    PHP_MAX,
+    PHP_MAX.replace(",...", ""),
+    WILDCARD_QUERY,
+    "java lang Math::EquivIn(max,php)(?) -> r?",
+    "java|lang|Math|max|2\tphp|core|builtin|max|2",
+    "java|lang|Math|max|2\tphp|core|builtin|max|-1",
+]
+_junk_line = st.one_of(
+    st.text(alphabet="javphlngMx:.()?,->|\t UNK012$", max_size=40),
+    st.text(max_size=20),
+)
+# Mostly grammar lines: one junk line usually ends a load with exit 1.
+_fuzz_line = st.sampled_from(_FIXTURE_TEXT + ["", None, None]).flatmap(
+    lambda line: _junk_line if line is None else st.just(line)
+)
+_fuzz_text = st.lists(_fuzz_line, max_size=8).map("\n".join)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kb_text=_fuzz_text, query=_fuzz_line, links_text=_fuzz_text)
+def test_cli_fuzz_exit_codes(tmp_path, kb_text, query, links_text):
+    kb_file, links = tmp_path / "kb.txt", tmp_path / "links.txt"
+    kb_file.write_text(kb_text, encoding="utf-8")
+    links.write_text(links_text, encoding="utf-8")
+    for argv in (
+        ["query", query, "--kb", str(kb_file)],
+        ["equiv", query, "--kb", str(kb_file), "--eq", str(links)],
+        ["facts", "--kb", str(kb_file)],
+        ["ingest", "--kb", str(kb_file), str(links)],
+    ):
+        code, _, _ = _run(argv)
+        assert code in (0, 1, 2), argv

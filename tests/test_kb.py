@@ -35,6 +35,7 @@ from conftest import (
     KEY_SHIFT_CLOJURE,
     KEY_SHIFT_HASKELL,
     KEY_SHIFT_JAVA,
+    PHP_MAX,
     PY_MAX,
     WILDCARD_QUERY,
 )
@@ -89,8 +90,21 @@ def test_reconstruct_round_trips():
         from siglogic.model import function_key
 
         back = reconstruct_signature(store, function_key(sig))
-        # vararg is not recorded in facts; compare modulo the flag
-        assert print_signature(back) == print_signature(sig).replace(",...", "")
+        assert print_signature(back) == print_signature(sig)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(PHP_MAX, PHP_MAX.replace(",...", "")), (PHP_MAX.replace(",...", ""), PHP_MAX)],
+)
+def test_vararg_only_difference_is_a_key_conflict(first, second):
+    store = FactStore()
+    _ingest(store, first)
+    with pytest.raises(KeyConflict):
+        _ingest(store, second)
+    assert print_signature(
+        reconstruct_signature(store, FunctionKey("php", "core", "builtin", "max", 2))
+    ) == first
 
 
 def test_wildcard_query_fixture(max_store):
