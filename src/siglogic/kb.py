@@ -67,7 +67,8 @@ class SkolemConst:
 
 
 def _key_id(key: FunctionKey) -> str:
-    return "%s.%s.%s.%s.%d" % (
+    # `|` lies outside the token charset, so ids are injective in the key
+    return "%s|%s|%s|%s|%d" % (
         key.lang, key.namespace, key.class_name, key.name, key.arity,
     )
 
@@ -81,15 +82,15 @@ def ret_skolem(key: FunctionKey) -> SkolemConst:
 
 
 def param_skolem(key: FunctionKey, position: int) -> SkolemConst:
-    return SkolemConst("par:%s.%d" % (_key_id(key), position))
+    return SkolemConst("par:%s|%d" % (_key_id(key), position))
 
 
 def ns_skolem(lang: str, namespace: str) -> SkolemConst:
-    return SkolemConst("ns:%s.%s" % (lang, namespace))
+    return SkolemConst("ns:%s|%s" % (lang, namespace))
 
 
 def cls_skolem(lang: str, namespace: str, class_name: str) -> SkolemConst:
-    return SkolemConst("cls:%s.%s.%s" % (lang, namespace, class_name))
+    return SkolemConst("cls:%s|%s|%s" % (lang, namespace, class_name))
 
 
 @dataclass(frozen=True)

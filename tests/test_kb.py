@@ -268,10 +268,21 @@ def test_dump_facts_deterministic_and_sorted():
     _ingest(store, JAVA_MAX)
     lines = dump_facts(store)
     assert lines == sorted(lines)
-    assert "fun(fn:java.lang.Math.max.2,max)" in lines
+    assert "fun(fn:java|lang|Math|max|2,max)" in lines
     assert len(lines) == 14
     _ingest(store, JAVA_MAX)
     assert dump_facts(store) == lines
+
+
+def test_witnesses_distinguish_dotted_tokens():
+    # joined with `.`, both keys spelled fn:java.java.util.Map.Entry.getKey.0
+    store = FactStore()
+    assert _ingest(store, "java java.util Map.Entry::getKey() -> K") == 8
+    assert _ingest(store, "java java.util.Map Entry::getKey() -> V") == 8
+    assert len(store) == len(dump_facts(store)) == 16
+    query = parse_signature("java N? C?::getKey() -> r?")
+    assert len(answer(store, query)) == 2
+    assert answer(store, query) == brute_force_answer(store, query)
 
 
 def test_dump_empty_store():
