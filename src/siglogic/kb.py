@@ -1,14 +1,14 @@
 """Ground-fact knowledge base and conjunctive query answering.
 
-Ingesting a ground signature skolemizes its compiled formula: each bound
-variable is replaced by a deterministic witness constant derived from the
-function's identity.  Namespace witnesses are shared across functions of
-the same (lang, namespace); class witnesses across (lang, namespace,
-class).  The store of record is a table of the ingested signatures by
-FunctionKey; the facts are derived from it.  Queries are signatures with
-wildcards, answered by slot-by-slot matching against the table.  The
-backtracking unifier of the query's compiled atoms against the facts is
-kept as the oracle, `brute_force_answer`.
+The store of record is a table of the ingested signatures by FunctionKey.
+Its facts are derived on demand by skolemizing each signature's compiled
+formula: each bound variable becomes a deterministic witness constant
+derived from the function's identity.  Namespace witnesses are shared
+across functions of the same (lang, namespace); class witnesses across
+(lang, namespace, class).  Queries are signatures with wildcards,
+answered by slot-by-slot matching against the table.  The backtracking
+unifier of the query's compiled atoms against the facts is kept as the
+oracle, `brute_force_answer`.
 """
 
 from __future__ import annotations
@@ -112,55 +112,35 @@ class Binding:
 
 
 class FactStore:
-    """Ingested signatures by FunctionKey, and their skolemized facts.
+    """Ingested signatures by FunctionKey; their facts are derived on demand.
 
-    The signature table is the store of record; the facts are derived
-    from it and indexed by predicate and by (predicate, first arg).
+    Besides the table the store keeps a running count of the facts and the
+    (lang, namespace) and (lang, namespace, class) identities seen: their
+    namespace and class atoms are the only facts functions share.
     """
 
     def __init__(self):
         self._sigs = {}
-        self._facts = set()
-        self._by_pred = defaultdict(set)
-        self._by_pred_first = defaultdict(set)
+        self._shared = set()
+        self._size = 0
 
     def __len__(self):
-        return len(self._facts)
+        return self._size
 
     @property
     def keys(self):
         return self._sigs.keys()
 
     def facts(self, pred: str, first: Term = None):
-        if first is not None:
-            return self._by_pred_first.get((pred, first), frozenset())
-        return self._by_pred.get(pred, frozenset())
-
-    def _add(self, atom: Atom) -> bool:
-        if atom in self._facts:
-            return False
-        self._facts.add(atom)
-        self._by_pred[atom.pred].add(atom)
-        self._by_pred_first[(atom.pred, atom.args[0])].add(atom)
-        return True
+        """The derived facts with predicate `pred` (and first arg `first`)."""
+        return frozenset(
+            atom for atom in _derived_facts(self)
+            if atom.pred == pred and (first is None or atom.args[0] == first)
+        )
 
 
-def ingest_signature(store: FactStore, sig: Signature) -> int:
-    """Store sig and skolemize compile(sig) into facts; returns newly added facts.
-
-    Re-ingesting the identical signature adds nothing; any other signature
-    under a stored key, even one differing only in the vararg flag, raises
-    KeyConflict.
-    """
-    if not is_ground(sig):
-        raise NotGround("only ground signatures can be ingested")
-    key = function_key(sig)
-    stored = store._sigs.get(key)
-    if stored is not None:
-        if stored == sig:
-            return 0
-        raise KeyConflict("differing signature already stored for %s" % (key,))
-    formula = compile_signature(sig)
+def _skolemize(key: FunctionKey, sig: Signature):
+    """Yield the ground atoms of one stored signature."""
     lambdas, ent = binder_names(sig)
     witness = {
         ent["v"]: ret_skolem(key),
@@ -178,11 +158,37 @@ def ingest_signature(store: FactStore, sig: Signature) -> int:
             return App(ground(term.fn), tuple(ground(a) for a in term.args))
         return term
 
-    added = 0
-    for atom in formula.atoms:
-        if store._add(Atom(atom.pred, tuple(ground(t) for t in atom.args))):
-            added += 1
+    for atom in compile_signature(sig).atoms:
+        yield Atom(atom.pred, tuple(ground(t) for t in atom.args))
+
+
+def _derived_facts(store: FactStore) -> set:
+    return {
+        atom for key, sig in store._sigs.items() for atom in _skolemize(key, sig)
+    }
+
+
+def ingest_signature(store: FactStore, sig: Signature) -> int:
+    """Store sig, compiling nothing; returns how many facts it adds.
+
+    That is 6 + 3n for n params, plus its namespace and class atoms when
+    they are new.  Re-ingesting the identical signature adds nothing; any
+    other signature under a stored key, even one differing only in the
+    vararg flag, raises KeyConflict.
+    """
+    if not is_ground(sig):
+        raise NotGround("only ground signatures can be ingested")
+    key = function_key(sig)
+    stored = store._sigs.get(key)
+    if stored is not None:
+        if stored == sig:
+            return 0
+        raise KeyConflict("differing signature already stored for %s" % (key,))
+    shared = {(key.lang, key.namespace), (key.lang, key.namespace, key.class_name)}
+    added = 6 + 3 * len(sig.params) + len(shared - store._shared)
+    store._shared |= shared
     store._sigs[key] = sig
+    store._size += added
     return added
 
 
@@ -284,6 +290,10 @@ def brute_force_answer(store: FactStore, query: Signature) -> set:
     labels = wildcard_labels(query)
     atoms = formula.atoms
     key_by_fn = {fn_skolem(key): key for key in store.keys}
+    by_pred, by_pred_first = defaultdict(set), defaultdict(set)
+    for fact in _derived_facts(store):
+        by_pred[fact.pred].add(fact)
+        by_pred_first[fact.pred, fact.args[0]].add(fact)
     results = set()
 
     def solve(i, binds):
@@ -309,15 +319,15 @@ def brute_force_answer(store: FactStore, query: Signature) -> set:
             key = key_by_fn.get(fn)
             if key is None:
                 return
-            candidates = store.facts("eq", ret_skolem(key))
+            candidates = by_pred_first["eq", ret_skolem(key)]
         else:
             first = atom.args[0]
             if isinstance(first, Var):
                 first = binds.get(first.name)
             candidates = (
-                store.facts(atom.pred, first)
+                by_pred_first[atom.pred, first]
                 if first is not None and not isinstance(first, App)
-                else store.facts(atom.pred)
+                else by_pred[atom.pred]
             )
         for fact in candidates:
             nb = binds
@@ -406,4 +416,4 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
 
 def dump_facts(store: FactStore):
     """All facts as canonical text atoms, sorted; deterministic."""
-    return sorted(print_atom(a) for a in store._facts)
+    return sorted(print_atom(a) for a in _derived_facts(store))

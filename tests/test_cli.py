@@ -162,6 +162,39 @@ def test_equiv_source_not_found_is_an_error(kb_path, eq_path):
     assert "nothing" in err
 
 
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Signatures the KB compiles, counted at `siglogic.kb.compile_signature`."""
+    from siglogic import kb
+
+    calls = []
+    real = kb.compile_signature
+
+    def counted(sig):
+        calls.append(sig)
+        return real(sig)
+
+    monkeypatch.setattr(kb, "compile_signature", counted)
+    return calls
+
+
+def test_loading_a_kb_compiles_nothing(kb_path, eq_path, compile_calls):
+    for argv in (
+        ["query", WILDCARD_QUERY, "--kb", kb_path],
+        ["equiv", "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> s?",
+         "--kb", kb_path, "--eq", eq_path],
+        ["ingest", "--kb", kb_path],
+    ):
+        code, _, _ = _run(argv, "java lang Math::min(long:a,long:b) -> long\n")
+        assert code == 0
+    assert compile_calls == []
+
+
+def test_facts_compiles_each_signature_once(kb_path, compile_calls):
+    assert _run(["facts", "--kb", kb_path])[0] == 0
+    assert len(compile_calls) == len(ALL_FIXTURE_SIGS)
+
+
 def test_facts_matches_in_memory_dump(kb_path):
     from siglogic import FactStore, dump_facts, ingest_signature, parse_signature
 

@@ -285,6 +285,35 @@ def test_witnesses_distinguish_dotted_tokens():
     assert answer(store, query) == brute_force_answer(store, query)
 
 
+def test_fact_count_closed_form_matches_derived_facts():
+    # dotted tokens, shared namespaces and classes, overloads, re-ingests
+    rng = random.Random(5)
+    dotted = ["a", "a.a", "a.a.a", "b"]
+    for trial in range(40):
+        store, total, stored = FactStore(), 0, []
+        for _ in range(rng.randint(0, 30)):
+            if stored and rng.random() < 0.2:
+                sig = rng.choice(stored)
+            else:
+                sig = Signature(
+                    lang=Const(rng.choice(["java", "php"])),
+                    namespace=Const(rng.choice(dotted)),
+                    class_name=Const(rng.choice(dotted)),
+                    head=Plain(Const(rng.choice(dotted))),
+                    params=tuple(
+                        Param(_tok(rng, TYPES), Const(rng.choice(dotted)), j + 1)
+                        for j in range(rng.randint(0, 3))
+                    ),
+                    ret=_tok(rng, TYPES),
+                )
+            try:
+                total += ingest_signature(store, sig)
+            except KeyConflict:
+                continue
+            stored.append(sig)
+        assert len(store) == total == len(dump_facts(store))
+
+
 def test_dump_empty_store():
     assert dump_facts(FactStore()) == []
 
