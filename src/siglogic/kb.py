@@ -198,13 +198,21 @@ def reconstruct_signature(store: FactStore, key: FunctionKey) -> Signature:
 
 
 class EquivStore:
-    """Union-find over FunctionKeys; holds cross-language `eq` knowledge."""
+    """Union-find over FunctionKeys; holds cross-language `eq` knowledge.
+
+    Each root keeps the list of its class's members; `add_eq` links the
+    smaller class under the larger (union by size), so `class_of` reads
+    one list instead of scanning every key.
+    """
 
     def __init__(self):
         self._parent = {}
+        self._members = {}  # root -> every key in its class
 
     def _find(self, key: FunctionKey) -> FunctionKey:
-        self._parent.setdefault(key, key)
+        if key not in self._parent:
+            self._parent[key] = key
+            self._members[key] = [key]
         root = key
         while self._parent[root] != root:
             root = self._parent[root]
@@ -214,17 +222,18 @@ class EquivStore:
 
     def add_eq(self, a: FunctionKey, b: FunctionKey):
         ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[rb] = ra
+        if ra == rb:
+            return
+        if len(self._members[ra]) < len(self._members[rb]):
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._members[ra] += self._members.pop(rb)
 
     def equivalent(self, a: FunctionKey, b: FunctionKey) -> bool:
         return a == b or self._find(a) == self._find(b)
 
     def class_of(self, key: FunctionKey) -> frozenset:
-        root = self._find(key)
-        return frozenset(
-            k for k in self._parent if self._find(k) == root
-        ) | {key}
+        return frozenset(self._members[self._find(key)])
 
 
 def _unify(query: Term, fact: Term, binds: dict, formula: Formula):

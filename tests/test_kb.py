@@ -205,6 +205,27 @@ def test_equiv_store_reflexive_symmetric_transitive():
     assert eqs.class_of(a) == {a, b, c}
 
 
+def test_class_of_equals_brute_scan_on_random_links():
+    rng = random.Random(11)
+    keys = [FunctionKey("java", "ns", "C", "f%d" % i, 0) for i in range(30)]
+    for trial in range(30):
+        eqs, links = EquivStore(), []
+        for _ in range(rng.randint(0, 40)):
+            links.append((rng.choice(keys), rng.choice(keys)))
+            eqs.add_eq(*links[-1])
+        for key in keys:
+            # the class is everything reachable from key over the links
+            reach, frontier = {key}, [key]
+            while frontier:
+                k = frontier.pop()
+                for a, b in links:
+                    for x, y in ((a, b), (b, a)):
+                        if x == k and y not in reach:
+                            reach.add(y)
+                            frontier.append(y)
+            assert eqs.class_of(key) == reach
+
+
 def test_equiv_query_finds_target(full_store, shift_eqs):
     query = parse_signature(
         "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> s?"
