@@ -10,17 +10,21 @@ Subcommands:
     facts       dump the KB's ground facts
 
 A KB is a plain text file of normalized signatures, one per line; it is
-re-ingested on every load (skolemization is deterministic).  An
-equivalence file holds one link per line: two tab-separated keys, each
+re-read on every load, and `ingest` extends it atomically (the whole new
+file is written beside it, then renamed over it).  An equivalence file
+holds one link per line: two tab-separated keys, each
 `lang|namespace|class|name|arity`.
 
-Exit codes: 0 success, 1 parse/normalize error or key conflict, 2 usage
-error.
+Exit codes: 0 success, 1 parse/normalize error, key conflict or I/O
+error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import shutil
 import sys
 
 from . import dsl, kb, logic, normalizer
@@ -140,6 +144,31 @@ def _ingest_line(store, path, lineno, sig) -> int:
         raise _LineError(path, lineno, str(e))
 
 
+def _append_atomically(path, text):
+    """Append text to path by writing the whole new file, then renaming it.
+
+    The file is either unchanged or complete, never half-written.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        data = None
+    tmp = "%s.%d.tmp" % (path, os.getpid())  # same directory: rename is atomic
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write((data or b"") + text.encode("utf-8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        if data is not None:
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _parse_key(text, path, lineno) -> FunctionKey:
     fields = text.split("|")
     if len(fields) != 5:
@@ -202,7 +231,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints help to sys.stdout and usage errors to sys.stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
@@ -241,9 +272,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 if added:
                     new_sigs.append(sig)
                 new_facts += added
-            with open(args.kb, "a", encoding="utf-8") as fh:
-                for sig in new_sigs:
-                    fh.write(dsl.print_signature(sig) + "\n")
+            _append_atomically(
+                args.kb, "".join(dsl.print_signature(s) + "\n" for s in new_sigs)
+            )
             print(
                 "ingested %d signatures, %d new facts" % (len(entries), new_facts),
                 file=out,
@@ -278,7 +309,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except _LineError as e:
         print(str(e), file=err)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(str(e), file=err)
         return 1
     return 0

@@ -219,6 +219,41 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def test_usage_error_goes_to_the_given_stderr(capsys):
+    code, out, err = _run(["query"])
+    assert code == 2
+    assert err.startswith("usage: siglogic query")
+    assert "required" in err
+    assert out == ""
+    assert capsys.readouterr().err == ""
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = _run(["-h"])
+    assert code == 0
+    assert out.startswith("usage: siglogic")
+    assert err == ""
+    assert capsys.readouterr().out == ""
+
+
+def test_failed_ingest_leaves_kb_unchanged(kb_path, tmp_path, monkeypatch):
+    import os
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    before = open(kb_path, "rb").read()
+    listing = sorted(os.listdir(tmp_path))
+    monkeypatch.setattr(os, "replace", fail)
+    code, out, err = _run(
+        ["ingest", "--kb", kb_path], "java lang Math::min(long:a,long:b) -> long\n"
+    )
+    assert (code, out) == (1, "")
+    assert "disk full" in err
+    assert open(kb_path, "rb").read() == before
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
 def test_missing_kb_file_is_reported(tmp_path):
     code, _, err = _run(
         ["query", WILDCARD_QUERY, "--kb", str(tmp_path / "nope.txt")]
