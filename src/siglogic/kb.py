@@ -425,4 +425,9 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
 
 def dump_facts(store: FactStore):
     """All facts as canonical text atoms, sorted; deterministic."""
-    return sorted(print_atom(a) for a in _derived_facts(store))
+    # print_atom is injective on ground atoms: dedupe the cheaper strings
+    return sorted({
+        print_atom(atom)
+        for key, sig in store._sigs.items()
+        for atom in _skolemize(key, sig)
+    })
