@@ -242,7 +242,8 @@ def test_failed_ingest_leaves_kb_unchanged(kb_path, tmp_path, monkeypatch):
     def fail(src, dst):
         raise OSError("disk full")
 
-    before = open(kb_path, "rb").read()
+    kb_file = tmp_path / "kb.txt"
+    before = kb_file.read_bytes()
     listing = sorted(os.listdir(tmp_path))
     monkeypatch.setattr(os, "replace", fail)
     code, out, err = _run(
@@ -250,7 +251,7 @@ def test_failed_ingest_leaves_kb_unchanged(kb_path, tmp_path, monkeypatch):
     )
     assert (code, out) == (1, "")
     assert "disk full" in err
-    assert open(kb_path, "rb").read() == before
+    assert kb_file.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == listing
 
 
