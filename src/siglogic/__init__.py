@@ -48,7 +48,6 @@ from .kb import (
     EquivStore,
     FactStore,
     KeyConflict,
-    SkolemConst,
     SourceNotFound,
     answer,
     answer_equiv,
@@ -98,7 +97,6 @@ __all__ = [
     "EquivStore",
     "FactStore",
     "KeyConflict",
-    "SkolemConst",
     "SourceNotFound",
     "answer",
     "answer_equiv",

@@ -2,8 +2,9 @@
 
 The store of record is a table of the ingested signatures by FunctionKey.
 Its facts are derived on demand by skolemizing each signature's compiled
-formula: each bound variable becomes a deterministic witness constant
-derived from the function's identity.  Namespace witnesses are shared
+formula: each bound variable is replaced by a witness, a plain string
+derived from the function's identity (a `str` never equals a `ConstTok`,
+so a witness cannot pass for a token).  Namespace witnesses are shared
 across functions of the same (lang, namespace); class witnesses across
 (lang, namespace, class).  Queries are signatures with wildcards,
 answered by slot-by-slot matching against the table.  The backtracking
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 from .logic import (
     App,
-    Atom,
     ConstTok,
     Formula,
     LogicError,
@@ -26,9 +26,9 @@ from .logic import (
     Term,
     UnsupportedHead,
     Var,
-    binder_names,
     compile_signature,
     print_atom,
+    subst_atoms,
 )
 from .model import (
     Const,
@@ -58,14 +58,6 @@ class KeyConflict(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class SkolemConst:
-    id: str
-
-    def __str__(self):
-        return self.id
-
-
 def _key_id(key: FunctionKey) -> str:
     # `|` lies outside the token charset, so ids are injective in the key
     return "%s|%s|%s|%s|%d" % (
@@ -73,24 +65,24 @@ def _key_id(key: FunctionKey) -> str:
     )
 
 
-def fn_skolem(key: FunctionKey) -> SkolemConst:
-    return SkolemConst("fn:" + _key_id(key))
+def fn_skolem(key: FunctionKey) -> str:
+    return "fn:" + _key_id(key)
 
 
-def ret_skolem(key: FunctionKey) -> SkolemConst:
-    return SkolemConst("ret:" + _key_id(key))
+def ret_skolem(key: FunctionKey) -> str:
+    return "ret:" + _key_id(key)
 
 
-def param_skolem(key: FunctionKey, position: int) -> SkolemConst:
-    return SkolemConst("par:%s|%d" % (_key_id(key), position))
+def param_skolem(key: FunctionKey, position: int) -> str:
+    return "par:%s|%d" % (_key_id(key), position)
 
 
-def ns_skolem(lang: str, namespace: str) -> SkolemConst:
-    return SkolemConst("ns:%s|%s" % (lang, namespace))
+def ns_skolem(lang: str, namespace: str) -> str:
+    return "ns:%s|%s" % (lang, namespace)
 
 
-def cls_skolem(lang: str, namespace: str, class_name: str) -> SkolemConst:
-    return SkolemConst("cls:%s|%s|%s" % (lang, namespace, class_name))
+def cls_skolem(lang: str, namespace: str, class_name: str) -> str:
+    return "cls:%s|%s|%s" % (lang, namespace, class_name)
 
 
 @dataclass(frozen=True)
@@ -140,26 +132,21 @@ class FactStore:
 
 
 def _skolemize(key: FunctionKey, sig: Signature):
-    """Yield the ground atoms of one stored signature."""
-    lambdas, ent = binder_names(sig)
+    """The ground atoms of one stored signature.
+
+    They are its compiled atoms with each binder replaced by its witness.
+    """
+    formula = compile_signature(sig)
+    v, f, n, c = formula.existentials
     witness = {
-        ent["v"]: ret_skolem(key),
-        ent["f"]: fn_skolem(key),
-        ent["n"]: ns_skolem(key.lang, key.namespace),
-        ent["c"]: cls_skolem(key.lang, key.namespace, key.class_name),
+        v: ret_skolem(key),
+        f: fn_skolem(key),
+        n: ns_skolem(key.lang, key.namespace),
+        c: cls_skolem(key.lang, key.namespace, key.class_name),
     }
-    for j, x in enumerate(lambdas, start=1):
+    for j, x in enumerate(formula.lambdas, start=1):
         witness[x] = param_skolem(key, j)
-
-    def ground(term):
-        if isinstance(term, Var):
-            return witness[term.name]
-        if isinstance(term, App):
-            return App(ground(term.fn), tuple(ground(a) for a in term.args))
-        return term
-
-    for atom in compile_signature(sig).atoms:
-        yield Atom(atom.pred, tuple(ground(t) for t in atom.args))
+    return subst_atoms(formula.atoms, witness)
 
 
 def _derived_facts(store: FactStore) -> set:
@@ -295,7 +282,7 @@ def brute_force_answer(store: FactStore, query: Signature) -> set:
     if isinstance(query.head, EquivIn):
         raise UnsupportedHead("EquivIn queries go through answer_equiv")
     formula = compile_signature(query)
-    _, ent = binder_names(query)
+    fn_var = formula.existentials[1]
     labels = wildcard_labels(query)
     atoms = formula.atoms
     key_by_fn = {fn_skolem(key): key for key in store.keys}
@@ -307,7 +294,7 @@ def brute_force_answer(store: FactStore, query: Signature) -> set:
 
     def solve(i, binds):
         if i == len(atoms):
-            fn = binds.get(ent["f"])
+            fn = binds.get(fn_var)
             key = key_by_fn.get(fn)
             if key is None:
                 return
@@ -324,7 +311,7 @@ def brute_force_answer(store: FactStore, query: Signature) -> set:
         if atom.pred == "eq":
             # the value entity is the matched function's own return witness;
             # without this the join is loose for zero-arity functions
-            fn = binds.get(ent["f"])
+            fn = binds.get(fn_var)
             key = key_by_fn.get(fn)
             if key is None:
                 return

@@ -252,47 +252,33 @@ def expand_equiv(sig: Signature):
     return base, target_pattern, link
 
 
-def print_term(term: Term) -> str:
+def print_term(term: Term, formula: Formula = None) -> str:
+    """A term's text; an App's argument list follows formula's arity mode."""
     if isinstance(term, Var):
         return term.name
     if isinstance(term, ConstTok):
         return term.token
     if isinstance(term, App):
-        return "%s(%s)" % (
-            print_term(term.fn),
-            ",".join(print_term(a) for a in term.args),
-        )
-    # ground skolem constants from the knowledge base print by id
+        args = ",".join(print_term(a) for a in term.args)
+        if formula is not None and formula.arity_unconstrained:
+            args = "?"
+        elif formula is not None and formula.min_arity:
+            args += ",..."
+        return "%s(%s)" % (print_term(term.fn), args)
+    # knowledge-base witnesses are plain strings
     return str(term)
 
 
-def print_atom(atom: Atom) -> str:
-    return "%s(%s)" % (atom.pred, ",".join(print_term(a) for a in atom.args))
-
-
-def _print_atom_flagged(atom: Atom, formula: Formula) -> str:
-    if not (formula.arity_unconstrained or formula.min_arity):
-        return print_atom(atom)
-
-    def term(t):
-        if isinstance(t, App):
-            inner = ",".join(term(a) for a in t.args)
-            if formula.arity_unconstrained:
-                inner = "?"
-            else:
-                inner += ",..."
-            return "%s(%s)" % (term(t.fn), inner)
-        return print_term(t)
-
-    return "%s(%s)" % (atom.pred, ",".join(term(a) for a in atom.args))
+def print_atom(atom: Atom, formula: Formula = None) -> str:
+    return "%s(%s)" % (
+        atom.pred, ",".join(print_term(a, formula) for a in atom.args)
+    )
 
 
 def print_formula(formula: Formula) -> str:
     parts = ["lam %s ." % x for x in formula.lambdas]
     parts += ["ex %s ." % x for x in formula.existentials]
-    parts.append(
-        " & ".join(_print_atom_flagged(a, formula) for a in formula.atoms)
-    )
+    parts.append(" & ".join(print_atom(a, formula) for a in formula.atoms))
     return " ".join(parts)
 
 
