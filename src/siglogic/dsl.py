@@ -16,8 +16,6 @@ spaces, " -> " before the return slot.
 
 from __future__ import annotations
 
-import re
-
 from .model import (
     UNK,
     Const,
@@ -26,11 +24,10 @@ from .model import (
     Plain,
     Signature,
     SlotValue,
-    Unk,
+    TOKEN_RE,
     Wildcard,
+    slot_token,
 )
-
-_TOKEN = re.compile(r"[A-Za-z0-9._$'-]+")
 
 
 class ParseError(ValueError):
@@ -85,7 +82,7 @@ class _Scanner:
 
     def token(self, what: str = "a token") -> str:
         self.skip_ws()
-        m = _TOKEN.match(self.text, self.pos)
+        m = TOKEN_RE.match(self.text, self.pos)
         if not m:
             self.fail(what)
         self.pos = m.end()
@@ -174,11 +171,7 @@ def _param(s: _Scanner, position: int) -> Param:
 
 
 def _slot_str(slot: SlotValue) -> str:
-    if isinstance(slot, Const):
-        return slot.token
-    if isinstance(slot, Unk):
-        return "UNK"
-    return slot.label + "?"
+    return slot.label + "?" if isinstance(slot, Wildcard) else slot_token(slot)
 
 
 def print_signature(sig: Signature) -> str:

@@ -13,8 +13,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Union
 
-# Character set of concrete tokens; matches the DSL grammar.
-TOKEN_RE = re.compile(r"[A-Za-z0-9._$'-]+\Z")
+# Character set of concrete tokens, the DSL grammar's `token`.  `|` and
+# `:` lie outside it, so the KB's `|`-joined witness ids are injective.
+TOKEN_RE = re.compile(r"[A-Za-z0-9._$'-]+")
 
 
 class ModelError(ValueError):
@@ -32,7 +33,7 @@ class Const:
     token: str
 
     def __post_init__(self):
-        if not TOKEN_RE.match(self.token):
+        if not TOKEN_RE.fullmatch(self.token):
             raise ModelError("invalid constant token: %r" % (self.token,))
         if self.token == "UNK":
             # UNK has its own model value so that print/parse stay bijective.
@@ -54,7 +55,7 @@ class Wildcard:
     label: str
 
     def __post_init__(self):
-        if not TOKEN_RE.match(self.label):
+        if not TOKEN_RE.fullmatch(self.label):
             raise ModelError("invalid wildcard label: %r" % (self.label,))
 
 
@@ -97,7 +98,7 @@ class EquivIn:
 
     def __post_init__(self):
         for tok in (self.base_name, self.target_lang):
-            if not TOKEN_RE.match(tok):
+            if not TOKEN_RE.fullmatch(tok):
                 raise ModelError("invalid EquivIn token: %r" % (tok,))
 
 
@@ -141,7 +142,7 @@ class FunctionKey:
 
     def __post_init__(self):
         for tok in (self.lang, self.namespace, self.class_name, self.name):
-            if not TOKEN_RE.match(tok):
+            if not TOKEN_RE.fullmatch(tok):
                 raise ModelError("invalid key token: %r" % (tok,))
         if self.arity < 0:
             raise ModelError("arity must be >= 0")

@@ -14,6 +14,7 @@ so cross-language joins compare reliably.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 
 from . import dsl
@@ -25,7 +26,6 @@ from .model import (
     Signature,
     TOKEN_RE,
     is_ground,
-    slot_token,
 )
 
 
@@ -52,7 +52,7 @@ class NotGroundAfterNormalize(ValueError):
 def normalize(raw: str, dialect: Dialect, lang_tag: str) -> Signature:
     if not raw.strip():
         raise DialectParseError(dialect, 0, "empty input")
-    if not TOKEN_RE.match(lang_tag):
+    if not TOKEN_RE.fullmatch(lang_tag):
         raise ValueError("invalid language tag: %r" % (lang_tag,))
     lang_tag = lang_tag.lower()
 
@@ -65,17 +65,9 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str) -> Signature:
             raise NotGroundAfterNormalize(
                 "normalized input contains wildcards: %r" % (raw,)
             )
-        lowered = slot_token(sig.lang).lower()
-        if isinstance(sig.lang, Const) and lowered != slot_token(sig.lang):
-            sig = Signature(
-                lang=Const(lowered),
-                namespace=sig.namespace,
-                class_name=sig.class_name,
-                head=sig.head,
-                params=sig.params,
-                vararg=sig.vararg,
-                ret=sig.ret,
-            )
+        lang = sig.lang
+        if isinstance(lang, Const) and lang.token != lang.token.lower():
+            sig = dataclasses.replace(sig, lang=Const(lang.token.lower()))
         return sig
 
     if "?" in raw:
@@ -206,7 +198,7 @@ def _params_untyped(args_text, raw, dialect):
 def _const_tok(tok, raw, dialect):
     if tok == "UNK":
         return UNK
-    if not TOKEN_RE.match(tok):
+    if not TOKEN_RE.fullmatch(tok):
         raise DialectParseError(
             dialect, max(raw.find(tok), 0), "invalid token %r" % (tok,)
         )
