@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import shutil
 import sys
@@ -83,21 +84,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iter_lines(paths, stdin):
-    if not paths:
-        for i, line in enumerate(stdin, start=1):
-            yield "<stdin>", i, line.rstrip("\n")
-        return
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh, start=1):
-                yield path, i, line.rstrip("\n")
+def _read(path) -> str:
+    """The text of a UTF-8 file, its line breaks as written."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def _lines(text):
+    """(lineno, line) for each non-blank line of text, its line break cut.
+
+    Lines end at `\n`, `\r` or `\r\n`, as in Python's text mode.
+    """
+    for i, line in enumerate(io.StringIO(text, newline=""), start=1):
+        if line.strip():
+            yield i, line.rstrip("\r\n")
+
+
+def _input_lines(paths, stdin):
+    """(path, lineno, line) for each non-blank line of the inputs."""
+    for path in paths or ["<stdin>"]:
+        for lineno, line in _lines(_read(path) if paths else stdin.read()):
+            yield path, lineno, line
 
 
 def _normalize_line(path, lineno, line, dialect, lang):
-    """One corpus line to a ground Signature (None for blank lines)."""
-    if not line.strip():
-        return None
+    """One non-blank corpus line to a ground Signature."""
     if dialect is not None:
         raw, dia, tag = line, Dialect(dialect), lang
     elif "\t" in line:
@@ -125,15 +136,11 @@ def _normalize_line(path, lineno, line, dialect, lang):
         raise _LineError(path, lineno, str(e))
 
 
-def _load_kb(path) -> kb.FactStore:
+def _load_kb(path, text) -> kb.FactStore:
     store = kb.FactStore()
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            sig = _normalize_line(path, i, line, Dialect.NORMALIZED.value, None)
-            _ingest_line(store, path, i, sig)
+    for lineno, line in _lines(text):
+        sig = _normalize_line(path, lineno, line, Dialect.NORMALIZED.value, None)
+        _ingest_line(store, path, lineno, sig)
     return store
 
 
@@ -144,23 +151,18 @@ def _ingest_line(store, path, lineno, sig) -> int:
         raise _LineError(path, lineno, str(e))
 
 
-def _append_atomically(path, text):
-    """Append text to path by writing the whole new file, then renaming it.
+def _write_atomically(path, text, existed):
+    """Write text to path by writing the whole new file, then renaming it.
 
     The file is either unchanged or complete, never half-written.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        data = None
     tmp = "%s.%d.tmp" % (path, os.getpid())  # same directory: rename is atomic
     try:
-        with open(tmp, "wb") as fh:
-            fh.write((data or b"") + text.encode("utf-8"))
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
-        if data is not None:
+        if existed:
             shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -183,17 +185,14 @@ def _parse_key(text, path, lineno) -> FunctionKey:
 
 def _load_eq(path) -> kb.EquivStore:
     eqs = kb.EquivStore()
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            halves = line.split("\t")
-            if len(halves) != 2:
-                raise _LineError(path, i, "expected two tab-separated keys")
-            eqs.add_eq(
-                _parse_key(halves[0], path, i), _parse_key(halves[1], path, i)
-            )
+    for lineno, line in _lines(_read(path)):
+        halves = line.split("\t")
+        if len(halves) != 2:
+            raise _LineError(path, lineno, "expected two tab-separated keys")
+        eqs.add_eq(
+            _parse_key(halves[0], path, lineno),
+            _parse_key(halves[1], path, lineno),
+        )
     return eqs
 
 
@@ -239,15 +238,12 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
     try:
         if args.command == "normalize":
-            for path, lineno, line in _iter_lines(args.inputs, stdin):
+            for path, lineno, line in _input_lines(args.inputs, stdin):
                 sig = _normalize_line(path, lineno, line, args.dialect, args.lang)
-                if sig is not None:
-                    print(dsl.print_signature(sig), file=out)
+                print(dsl.print_signature(sig), file=out)
 
         elif args.command == "compile":
-            for path, lineno, line in _iter_lines(args.inputs, stdin):
-                if not line.strip():
-                    continue
+            for path, lineno, line in _input_lines(args.inputs, stdin):
                 try:
                     sig = dsl.parse_signature(line)
                     formula = logic.compile_signature(sig)
@@ -256,15 +252,16 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 print(logic.print_formula(formula), file=out)
 
         elif args.command == "ingest":
-            entries = []
-            for path, lineno, line in _iter_lines(args.inputs, stdin):
-                sig = _normalize_line(path, lineno, line, args.dialect, args.lang)
-                if sig is not None:
-                    entries.append((path, lineno, sig))
+            entries = [
+                (path, lineno,
+                 _normalize_line(path, lineno, line, args.dialect, args.lang))
+                for path, lineno, line in _input_lines(args.inputs, stdin)
+            ]
             try:
-                store = _load_kb(args.kb)
+                text = _read(args.kb)
             except FileNotFoundError:
-                store = kb.FactStore()
+                text = None
+            store = _load_kb(args.kb, text or "")
             new_facts = 0
             new_sigs = []
             for path, lineno, sig in entries:
@@ -272,8 +269,10 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 if added:
                     new_sigs.append(sig)
                 new_facts += added
-            _append_atomically(
-                args.kb, "".join(dsl.print_signature(s) + "\n" for s in new_sigs)
+            _write_atomically(
+                args.kb,
+                (text or "") + "".join(dsl.print_signature(s) + "\n" for s in new_sigs),
+                existed=text is not None,
             )
             print(
                 "ingested %d signatures, %d new facts" % (len(entries), new_facts),
@@ -281,7 +280,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             )
 
         elif args.command == "query":
-            store = _load_kb(args.kb)
+            store = _load_kb(args.kb, _read(args.kb))
             query = _parse_query(args.query)
             try:
                 results = kb.answer(store, query)
@@ -290,26 +289,21 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             _print_results(store, results, args.porcelain, out)
 
         elif args.command == "equiv":
-            store = _load_kb(args.kb)
+            store = _load_kb(args.kb, _read(args.kb))
             eqs = _load_eq(args.eq)
             query = _parse_query(args.query)
             try:
                 results = kb.answer_equiv(store, eqs, query)
-            except kb.SourceNotFound as e:
-                raise _LineError("<query>", 1, str(e))
-            except logic.NotEquivHead as e:
+            except (kb.SourceNotFound, logic.NotEquivHead) as e:
                 raise _LineError("<query>", 1, str(e))
             _print_results(store, results, args.porcelain, out)
 
         elif args.command == "facts":
-            store = _load_kb(args.kb)
+            store = _load_kb(args.kb, _read(args.kb))
             for line in kb.dump_facts(store):
                 print(line, file=out)
 
-    except _LineError as e:
-        print(str(e), file=err)
-        return 1
-    except OSError as e:
+    except (_LineError, OSError) as e:
         print(str(e), file=err)
         return 1
     return 0
