@@ -86,8 +86,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path) -> str:
     """The text of a UTF-8 file, its line breaks as written."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        return _decode(path, fh.read())
+
+
+def _decode(path, data) -> str:
+    """UTF-8 bytes as text; bytes that are not UTF-8 are a `path:line` error."""
+    if isinstance(data, str):  # read from a text stream without a byte buffer
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8")
+        # `\n`, `\r` and `\r\n` each end a line, as in _lines
+        lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise _LineError(path, lineno, "invalid UTF-8: %s" % e.reason)
 
 
 def _lines(text):
@@ -103,7 +116,11 @@ def _lines(text):
 def _input_lines(paths, stdin):
     """(path, lineno, line) for each non-blank line of the inputs."""
     for path in paths or ["<stdin>"]:
-        for lineno, line in _lines(_read(path) if paths else stdin.read()):
+        if paths:
+            text = _read(path)
+        else:
+            text = _decode(path, getattr(stdin, "buffer", stdin).read())
+        for lineno, line in _lines(text):
             yield path, lineno, line
 
 
@@ -262,6 +279,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             except FileNotFoundError:
                 text = None
             store = _load_kb(args.kb, text or "")
+            if text and not text.endswith(("\n", "\r")):
+                text += "\n"  # else the first new line joins the KB's last
             new_facts = 0
             new_sigs = []
             for path, lineno, sig in entries:

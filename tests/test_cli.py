@@ -349,3 +349,45 @@ def test_cli_fuzz_exit_codes(tmp_path, kb_text, query, links_text):
     ):
         code, _, _ = _run(argv)
         assert code in (0, 1, 2), argv
+
+
+def test_ingest_into_kb_without_final_newline(tmp_path):
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text(JAVA_MAX, encoding="utf-8")
+    min_sig = "java lang Math::min(long:a,long:b) -> long"
+    code, _, err = _run(["ingest", "--kb", str(kb_file)], min_sig + "\n")
+    assert code == 0, err
+    assert kb_file.read_text(encoding="utf-8") == JAVA_MAX + "\n" + min_sig + "\n"
+    assert _run(["facts", "--kb", str(kb_file)])[0] == 0
+
+
+# `\r\n` and a lone `\r` both end a line: the bad byte is on line 3.
+_BAD_UTF8 = JAVA_MAX.encode() + b"\r\n\rjava lang M\xffath::f() -> long\n"
+_BAD_UTF8_ERR = "bad.txt:3: invalid UTF-8: invalid start byte\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["facts", "--kb", "bad.txt"],
+    ["query", WILDCARD_QUERY, "--kb", "bad.txt"],
+    ["ingest", "--kb", "bad.txt"],
+    ["ingest", "--kb", "kb.txt", "bad.txt"],
+    ["normalize", "bad.txt"],
+    ["compile", "bad.txt"],
+    ["equiv", "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> s?",
+     "--kb", "kb.txt", "--eq", "bad.txt"],
+], ids=lambda argv: "-".join(a for a in argv[:3] if "." not in a))
+def test_invalid_utf8_is_a_line_diagnostic(kb_path, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_bytes(_BAD_UTF8)
+    before = (tmp_path / "kb.txt").read_bytes()
+    assert _run(argv) == (1, "", _BAD_UTF8_ERR)
+    assert (tmp_path / "bad.txt").read_bytes() == _BAD_UTF8
+    assert (tmp_path / "kb.txt").read_bytes() == before
+
+
+def test_invalid_utf8_on_stdin_is_a_line_diagnostic():
+    out, err = io.StringIO(), io.StringIO()
+    with io.TextIOWrapper(io.BytesIO(JAVA_MAX.encode() + b"\n\xff\n")) as stdin:
+        code = run(["normalize"], stdin=stdin, stdout=out, stderr=err)
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue() == "<stdin>:2: invalid UTF-8: invalid start byte\n"
