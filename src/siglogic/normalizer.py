@@ -60,7 +60,10 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str) -> Signature:
         try:
             sig = dsl.parse_signature(raw)
         except dsl.ParseError as e:
-            raise DialectParseError(dialect, e.byte_offset, str(e)) from e
+            raise DialectParseError(
+                dialect, e.byte_offset,
+                "expected %s, found %s" % (e.expected, e.found),
+            ) from e
         if not is_ground(sig):
             raise NotGroundAfterNormalize(
                 "normalized input contains wildcards: %r" % (raw,)

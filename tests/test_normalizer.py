@@ -108,3 +108,14 @@ def test_normalized_idempotence(sig):
         return  # lang tags are canonically lowercase
     out = normalize(print_signature(sig), Dialect.NORMALIZED, lang)
     assert out == sig
+
+
+def test_normalized_dialect_error_states_the_offset_once():
+    with pytest.raises(DialectParseError) as e:
+        normalize(JAVA_MAX + " long", Dialect.NORMALIZED, "java")
+    assert e.value.position == len(JAVA_MAX) + 1
+    assert str(e.value).count("at offset") == 1
+    assert str(e.value) == (
+        "normalized dialect, at offset %d: expected end of input, found 'l'"
+        % (len(JAVA_MAX) + 1)
+    )
