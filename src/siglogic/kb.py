@@ -283,7 +283,8 @@ def brute_force_answer(store: FactStore, query: Signature) -> set:
         raise UnsupportedHead("EquivIn queries go through answer_equiv")
     formula = compile_signature(query)
     fn_var = formula.existentials[1]
-    labels = wildcard_labels(query)
+    # (label, its variable): compile renames a label spelled like a constant
+    label_vars = tuple(zip(wildcard_labels(query), formula.existentials[4:]))
     atoms = formula.atoms
     key_by_fn = {fn_skolem(key): key for key in store.keys}
     by_pred, by_pred_first = defaultdict(set), defaultdict(set)
@@ -302,7 +303,7 @@ def brute_force_answer(store: FactStore, query: Signature) -> set:
                 Binding(
                     key,
                     tuple(
-                        (lbl, _ground_token(binds[lbl])) for lbl in labels
+                        (lbl, _ground_token(binds[x])) for lbl, x in label_vars
                     ),
                 )
             )

@@ -114,23 +114,24 @@ class Formula:
         object.__setattr__(self, "atoms", tuple(self.atoms))
 
 
+def _fresh(name, taken):
+    while name in taken:
+        name += "_e"
+    return name
+
+
 def binder_names(sig: Signature):
     """Fixed binder spellings for compile(sig).
 
     Returns (lambda_names, entity_names) where entity_names maps the four
-    roles 'v', 'f', 'n', 'c' to their variable spellings.  Wildcard labels
-    keep their spelling verbatim; a fixed name colliding with a label gets
-    `_e` suffixes until distinct.
+    roles 'v', 'f', 'n', 'c' to their variable spellings.  A fixed name
+    colliding with a wildcard label gets `_e` suffixes until distinct.
     """
     labels = set(wildcard_labels(sig))
-
-    def fresh(name):
-        while name in labels:
-            name += "_e"
-        return name
-
-    lambdas = tuple(fresh("x%d" % j) for j in range(1, len(sig.params) + 1))
-    entities = {role: fresh(role) for role in ("v", "f", "n", "c")}
+    lambdas = tuple(
+        _fresh("x%d" % j, labels) for j in range(1, len(sig.params) + 1)
+    )
+    entities = {role: _fresh(role, labels) for role in ("v", "f", "n", "c")}
     return lambdas, entities
 
 
@@ -149,7 +150,8 @@ def compile_signature(sig: Signature) -> Formula:
 
     lambdas, ent = binder_names(sig)
     v, f, n, c = ent["v"], ent["f"], ent["n"], ent["c"]
-    existentials = (v, f, n, c) + tuple(wildcard_labels(sig))
+    labels = wildcard_labels(sig)
+    existentials = (v, f, n, c) + tuple(labels)
 
     fname = _slot_term(sig.head.name_slot)
     xs = tuple(Var(x) for x in lambdas)
@@ -167,6 +169,21 @@ def compile_signature(sig: Signature) -> Formula:
         atoms.append(Atom("var", (x, _slot_term(p.name_slot))))
         atoms.append(Atom("type", (x, _slot_term(p.type_slot))))
         atoms.append(Atom("has_param", (Var(f), x, ConstTok(str(p.position)))))
+    if labels:
+        # A label keeps its spelling unless one of the formula's constants
+        # is spelled alike: its binder would capture that constant in the
+        # printed text, so it gets `_e` suffixes until fresh.
+        consts = {
+            t.token for a in atoms for t in a.args if isinstance(t, ConstTok)
+        }
+        taken = consts | set(existentials) | set(lambdas)
+        renamed = {}
+        for label in labels:
+            if label in consts:
+                renamed[label] = _fresh(label, taken)
+                taken.add(renamed[label])
+        atoms = subst_atoms(atoms, {k: Var(x) for k, x in renamed.items()})
+        existentials = tuple(renamed.get(x, x) for x in existentials)
     return Formula(
         lambdas=lambdas,
         existentials=existentials,

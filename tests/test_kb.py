@@ -522,3 +522,12 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
     ) | set(store.facts("namespace")) | set(store.facts("in_namespace")) | set(
         store.facts("class")
     ) | set(store.facts("in_class")) == expected
+
+
+def test_oracle_reports_a_renamed_label_by_its_spelling(max_store):
+    # the label a? is spelled like the constant a, so compile renames its
+    # variable; bindings still carry the label
+    query = parse_signature("java N? C?::f?(long:a,long:a?) -> long")
+    results = brute_force_answer(max_store, query)
+    assert results == answer(max_store, query)
+    assert {b["a"] for b in results} == {"b"}

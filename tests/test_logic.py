@@ -271,3 +271,19 @@ def test_alpha_eq_equivalence_relation(sig):
     assert alpha_eq(f1, f1)
     assert alpha_eq(f1, f2) and alpha_eq(f2, f1)
     assert alpha_eq(f2, f3) and alpha_eq(f1, f3)
+
+
+def test_label_spelled_like_a_constant_is_not_captured():
+    # In each, the label 000? would bind the constant 000 in the printed
+    # text if its variable kept the label's spelling.
+    f1 = compile_signature(
+        parse_signature("UNK UNK 00?::000(UNK:000?,UNK:UNK,...) -> UNK")
+    )
+    f2 = compile_signature(
+        parse_signature("UNK UNK 00?::000?(UNK:000,UNK:UNK,...) -> UNK")
+    )
+    assert not alpha_eq(f1, f2)
+    assert print_formula(f1) != print_formula(f2)
+    assert f1.existentials[4:] == ("00", "000_e")
+    assert Atom("var", (Var("x1"), Var("000_e"))) in f1.atoms
+    assert Atom("fun", (Var("f"), ConstTok("000"))) in f1.atoms
