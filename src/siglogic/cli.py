@@ -15,8 +15,8 @@ file is written beside it, then renamed over it).  An equivalence file
 holds one link per line: two tab-separated keys, each
 `lang|namespace|class|name|arity`.
 
-Exit codes: 0 success, 1 parse/normalize error, key conflict or I/O
-error, 2 usage error.
+All input is read as UTF-8.  Exit codes: 0 success, 1 parse/normalize
+error, key conflict, input that is not UTF-8 or I/O error, 2 usage error.
 """
 
 from __future__ import annotations
