@@ -168,7 +168,7 @@ def _ingest_line(store, path, lineno, sig) -> int:
         raise _LineError(path, lineno, str(e))
 
 
-def _write_atomically(path, text, existed):
+def _write_atomically(path, text):
     """Write text to path by writing the whole new file, then renaming it.
 
     The file is either unchanged or complete, never half-written.
@@ -179,7 +179,7 @@ def _write_atomically(path, text, existed):
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
-        if existed:
+        with contextlib.suppress(FileNotFoundError):  # a new file
             shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -277,8 +277,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             try:
                 text = _read(args.kb)
             except FileNotFoundError:
-                text = None
-            store = _load_kb(args.kb, text or "")
+                text = ""
+            store = _load_kb(args.kb, text)
             if text and not text.endswith(("\n", "\r")):
                 text += "\n"  # else the first new line joins the KB's last
             new_facts = 0
@@ -290,8 +290,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 new_facts += added
             _write_atomically(
                 args.kb,
-                (text or "") + "".join(dsl.print_signature(s) + "\n" for s in new_sigs),
-                existed=text is not None,
+                text + "".join(dsl.print_signature(s) + "\n" for s in new_sigs),
             )
             print(
                 "ingested %d signatures, %d new facts" % (len(entries), new_facts),

@@ -312,9 +312,7 @@ def validate_formula(formula: Formula):
                 check_term(a)
 
     for atom in formula.atoms:
-        # Atom.__post_init__ enforces arity; re-check placement here
-        if atom.pred not in PREDICATE_ARITIES:
-            raise LogicError("unknown predicate: %r" % (atom.pred,))
+        # Atom.__post_init__ enforces predicates and arity; check placement
         for i, arg in enumerate(atom.args):
             check_term(arg, app_ok=(atom.pred == "eq" and i == 1))
     return bound

@@ -156,11 +156,7 @@ def is_ground(sig: Signature) -> bool:
         return False
     if not isinstance(sig.head.name_slot, Const):
         return False
-    slots = [sig.lang, sig.namespace, sig.class_name, sig.ret]
-    for p in sig.params:
-        slots.append(p.type_slot)
-        slots.append(p.name_slot)
-    return not any(isinstance(s, Wildcard) for s in slots)
+    return not any(isinstance(s, Wildcard) for s in _slots(sig))
 
 
 def function_key(sig: Signature) -> FunctionKey:
@@ -176,25 +172,23 @@ def function_key(sig: Signature) -> FunctionKey:
     )
 
 
-def wildcard_labels(sig: Signature) -> list:
-    """Distinct wildcard labels in first-occurrence order.
-
-    Occurrence order follows the written form: language, namespace, class,
+def _slots(sig: Signature):
+    """Every slot of sig in written order: language, namespace, class,
     head, then each parameter (type before name), then the return slot.
     """
-    labels = []
-
-    def visit(slot):
-        if isinstance(slot, Wildcard) and slot.label not in labels:
-            labels.append(slot.label)
-
-    visit(sig.lang)
-    visit(sig.namespace)
-    visit(sig.class_name)
+    yield sig.lang
+    yield sig.namespace
+    yield sig.class_name
     if isinstance(sig.head, Plain):
-        visit(sig.head.name_slot)
+        yield sig.head.name_slot
     for p in sig.params:
-        visit(p.type_slot)
-        visit(p.name_slot)
-    visit(sig.ret)
-    return labels
+        yield p.type_slot
+        yield p.name_slot
+    yield sig.ret
+
+
+def wildcard_labels(sig: Signature) -> list:
+    """Distinct wildcard labels in first-occurrence (written) order."""
+    return list(
+        dict.fromkeys(s.label for s in _slots(sig) if isinstance(s, Wildcard))
+    )
