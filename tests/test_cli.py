@@ -375,7 +375,8 @@ _BAD_UTF8_ERR = "bad.txt:3: invalid UTF-8: invalid start byte\n"
     ["compile", "bad.txt"],
     ["equiv", "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> s?",
      "--kb", "kb.txt", "--eq", "bad.txt"],
-], ids=lambda argv: "-".join(a for a in argv[:3] if "." not in a))
+], ids=["facts-kb", "query-kb", "ingest-kb", "ingest-input", "normalize",
+        "compile", "equiv-links"])
 def test_invalid_utf8_is_a_line_diagnostic(kb_path, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_bytes(_BAD_UTF8)
