@@ -156,7 +156,7 @@ def is_ground(sig: Signature) -> bool:
         return False
     if not isinstance(sig.head.name_slot, Const):
         return False
-    return not any(isinstance(s, Wildcard) for s in _slots(sig))
+    return Wildcard not in map(type, _slots(sig))
 
 
 def function_key(sig: Signature) -> FunctionKey:
