@@ -16,6 +16,9 @@ spaces, " -> " before the return slot.
 
 from __future__ import annotations
 
+import functools
+import re
+
 from .model import (
     UNK,
     Const,
@@ -80,22 +83,37 @@ class _Scanner:
             self.fail(repr(literal))
         self.pos += len(literal)
 
-    def token(self, what: str = "a token") -> str:
-        self.skip_ws()
-        m = TOKEN_RE.match(self.text, self.pos)
+    def _match(self, what: str):
+        # whitespace, a token and an optional `?`: one match at pos; the
+        # error path skips the whitespace to report the offset after it
+        m = _SLOT_RE.match(self.text, self.pos)
         if not m:
+            self.skip_ws()
             self.fail(what)
-        self.pos = m.end()
-        return m.group()
+        return m
+
+    def token(self, what: str = "a token") -> str:
+        m = self._match(what)
+        self.pos = m.end(1)
+        return m.group(1)
 
     def slot(self, what: str = "a slot") -> SlotValue:
-        tok = self.token(what)
-        if self.peek() == "?":
-            self.pos += 1
-            return Wildcard(tok)
-        if tok == "UNK":
-            return UNK
-        return Const(tok)
+        m = self._match(what)
+        self.pos = m.end()
+        tok, mark = m.groups()
+        return Wildcard(tok) if mark else _ground_slot(tok)
+
+
+_SLOT_RE = re.compile(r"\s*(%s)(\??)" % TOKEN_RE.pattern)
+
+# Distinct slot tokens kept shared; a 3k-line KB has under a thousand.
+_SLOT_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_SLOT_CACHE_SIZE)
+def _ground_slot(tok: str) -> SlotValue:
+    """One shared value per distinct token (UNK or a frozen Const)."""
+    return UNK if tok == "UNK" else Const(tok)
 
 
 def parse_signature(text: str) -> Signature:
@@ -106,9 +124,8 @@ def parse_signature(text: str) -> Signature:
     s.expect("::")
 
     # Head: `EquivIn(` wins over a function literally named EquivIn.
-    head_pos = s.pos
-    tok = s.token("a function head")
-    if tok == "EquivIn" and s.peek() == "(":
+    name = s.slot("a function head")
+    if name == Const("EquivIn") and s.peek() == "(":
         s.expect("(")
         base = s.token("a base function name")
         s.expect(",")
@@ -116,8 +133,7 @@ def parse_signature(text: str) -> Signature:
         s.expect(")")
         head = EquivIn(base, target)
     else:
-        s.pos = head_pos
-        head = Plain(s.slot("a function head"))
+        head = Plain(name)
 
     s.expect("(")
     params = []

@@ -1,10 +1,11 @@
 """Ground-fact knowledge base and conjunctive query answering.
 
 The store of record is a table of the ingested signatures by FunctionKey.
-Its facts are derived on demand by skolemizing each signature's compiled
-formula: each bound variable is replaced by a witness, a plain string
-derived from the function's identity (a `str` never equals a `ConstTok`,
-so a witness cannot pass for a token).  Namespace witnesses are shared
+Its facts are derived on demand by skolemizing each signature: the atom
+layout its compiled formula has (`logic.signature_atoms`) is laid out
+over witnesses in place of binders.  A witness is a plain string derived
+from the function's identity (a `str` never equals a `ConstTok`, so a
+witness cannot pass for a token).  Namespace witnesses are shared
 across functions of the same (lang, namespace); class witnesses across
 (lang, namespace, class).  Queries are signatures with wildcards,
 answered by slot-by-slot matching against the table.  The backtracking
@@ -28,7 +29,7 @@ from .logic import (
     Var,
     compile_signature,
     print_atom,
-    subst_atoms,
+    signature_atoms,
 )
 from .model import (
     Const,
@@ -134,19 +135,17 @@ class FactStore:
 def _skolemize(key: FunctionKey, sig: Signature):
     """The ground atoms of one stored signature.
 
-    They are its compiled atoms with each binder replaced by its witness.
+    They are the shared atom layout (`signature_atoms`, which
+    `compile_signature` lays out over binders) over its witnesses.
     """
-    formula = compile_signature(sig)
-    v, f, n, c = formula.existentials
-    witness = {
-        v: ret_skolem(key),
-        f: fn_skolem(key),
-        n: ns_skolem(key.lang, key.namespace),
-        c: cls_skolem(key.lang, key.namespace, key.class_name),
-    }
-    for j, x in enumerate(formula.lambdas, start=1):
-        witness[x] = param_skolem(key, j)
-    return subst_atoms(formula.atoms, witness)
+    return signature_atoms(
+        sig,
+        ret_skolem(key),
+        fn_skolem(key),
+        ns_skolem(key.lang, key.namespace),
+        cls_skolem(key.lang, key.namespace, key.class_name),
+        tuple(param_skolem(key, j) for j in range(1, len(sig.params) + 1)),
+    )
 
 
 def _derived_facts(store: FactStore) -> set:

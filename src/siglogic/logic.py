@@ -143,6 +143,31 @@ def _slot_term(slot: SlotValue) -> Term:
     return Var(slot.label)
 
 
+def signature_atoms(sig: Signature, v, f, n, c, xs) -> tuple:
+    """The 8 + 3n atoms of sig over the given terms.
+
+    v, f, n and c stand for the value, function, namespace and class
+    entities, xs for the parameters in order: binder variables when
+    compiling, witnesses when the KB skolemizes a stored signature.
+    """
+    fname = _slot_term(sig.head.name_slot)
+    atoms = [
+        Atom("fun", (f, fname)),
+        Atom("eq", (v, App(fname, xs))),
+        Atom("lang", (f, _slot_term(sig.lang))),
+        Atom("type", (v, _slot_term(sig.ret))),
+        Atom("class", (c, _slot_term(sig.class_name))),
+        Atom("in_class", (f, c)),
+        Atom("namespace", (n, _slot_term(sig.namespace))),
+        Atom("in_namespace", (f, n)),
+    ]
+    for p, x in zip(sig.params, xs):
+        atoms.append(Atom("var", (x, _slot_term(p.name_slot))))
+        atoms.append(Atom("type", (x, _slot_term(p.type_slot))))
+        atoms.append(Atom("has_param", (f, x, ConstTok(str(p.position)))))
+    return tuple(atoms)
+
+
 def compile_signature(sig: Signature) -> Formula:
     """Translate a signature into its prenex logic formula."""
     if isinstance(sig.head, EquivInHead):
@@ -152,23 +177,9 @@ def compile_signature(sig: Signature) -> Formula:
     v, f, n, c = ent["v"], ent["f"], ent["n"], ent["c"]
     labels = wildcard_labels(sig)
     existentials = (v, f, n, c) + tuple(labels)
-
-    fname = _slot_term(sig.head.name_slot)
-    xs = tuple(Var(x) for x in lambdas)
-    atoms = [
-        Atom("fun", (Var(f), fname)),
-        Atom("eq", (Var(v), App(fname, xs))),
-        Atom("lang", (Var(f), _slot_term(sig.lang))),
-        Atom("type", (Var(v), _slot_term(sig.ret))),
-        Atom("class", (Var(c), _slot_term(sig.class_name))),
-        Atom("in_class", (Var(f), Var(c))),
-        Atom("namespace", (Var(n), _slot_term(sig.namespace))),
-        Atom("in_namespace", (Var(f), Var(n))),
-    ]
-    for p, x in zip(sig.params, xs):
-        atoms.append(Atom("var", (x, _slot_term(p.name_slot))))
-        atoms.append(Atom("type", (x, _slot_term(p.type_slot))))
-        atoms.append(Atom("has_param", (Var(f), x, ConstTok(str(p.position)))))
+    atoms = signature_atoms(
+        sig, Var(v), Var(f), Var(n), Var(c), tuple(Var(x) for x in lambdas)
+    )
     if labels:
         # A label keeps its spelling unless one of the formula's constants
         # is spelled alike: its binder would capture that constant in the
@@ -187,7 +198,7 @@ def compile_signature(sig: Signature) -> Formula:
     return Formula(
         lambdas=lambdas,
         existentials=existentials,
-        atoms=tuple(atoms),
+        atoms=atoms,
         arity_unconstrained=sig.params_wildcard,
         min_arity=sig.vararg,
     )
@@ -271,19 +282,18 @@ def expand_equiv(sig: Signature):
 
 def print_term(term: Term, formula: Formula = None) -> str:
     """A term's text; an App's argument list follows formula's arity mode."""
+    if isinstance(term, str):  # knowledge-base witnesses are plain strings
+        return term
     if isinstance(term, Var):
         return term.name
     if isinstance(term, ConstTok):
         return term.token
-    if isinstance(term, App):
-        args = ",".join(print_term(a) for a in term.args)
-        if formula is not None and formula.arity_unconstrained:
-            args = "?"
-        elif formula is not None and formula.min_arity:
-            args += ",..."
-        return "%s(%s)" % (print_term(term.fn), args)
-    # knowledge-base witnesses are plain strings
-    return str(term)
+    args = ",".join(print_term(a) for a in term.args)  # an App
+    if formula is not None and formula.arity_unconstrained:
+        args = "?"
+    elif formula is not None and formula.min_arity:
+        args += ",..."
+    return "%s(%s)" % (print_term(term.fn), args)
 
 
 def print_atom(atom: Atom, formula: Formula = None) -> str:

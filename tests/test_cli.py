@@ -164,17 +164,18 @@ def test_equiv_source_not_found_is_an_error(kb_path, eq_path):
 
 @pytest.fixture
 def compile_calls(monkeypatch):
-    """Signatures the KB compiles, counted at `siglogic.kb.compile_signature`."""
+    """Signatures the KB lays out as atoms, counted at
+    `siglogic.kb.signature_atoms`."""
     from siglogic import kb
 
     calls = []
-    real = kb.compile_signature
+    real = kb.signature_atoms
 
-    def counted(sig):
+    def counted(sig, *terms):
         calls.append(sig)
-        return real(sig)
+        return real(sig, *terms)
 
-    monkeypatch.setattr(kb, "compile_signature", counted)
+    monkeypatch.setattr(kb, "signature_atoms", counted)
     return calls
 
 

@@ -20,6 +20,11 @@ from siglogic.model import (
 from strategies import signatures
 
 
+def test_repeated_token_parses_to_one_shared_const():
+    sig = parse_signature("java lang Math::max(long:a,long:b) -> long")
+    assert sig.params[0].type_slot is sig.params[1].type_slot is sig.ret
+
+
 def test_parse_concrete_signature():
     sig = parse_signature("java lang Math::max(long:a,long:b) -> long")
     assert sig == Signature(

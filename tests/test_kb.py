@@ -496,32 +496,58 @@ def test_binding_soundness(max_store):
 
 
 def test_ingested_facts_equal_skolemized_compile_atoms():
-    from siglogic.kb import cls_skolem, fn_skolem, param_skolem, ret_skolem
+    # the compiled formula with its binders replaced by witnesses is the
+    # reference for the KB's facts: arity 0-4, UNK, `,...`, dotted tokens,
+    # namespaces and classes shared across functions
+    from siglogic.kb import (
+        _skolemize, cls_skolem, fn_skolem, param_skolem, ret_skolem,
+    )
     from siglogic.logic import binder_names, compile_signature, subst_atoms
     from siglogic.model import function_key
 
-    sig = parse_signature(JAVA_MAX)
-    key = function_key(sig)
-    lambdas, ent = binder_names(sig)
-    witness = {
-        ent["v"]: ret_skolem(key),
-        ent["f"]: fn_skolem(key),
-        ent["n"]: ns_skolem(key.lang, key.namespace),
-        ent["c"]: cls_skolem(key.lang, key.namespace, key.class_name),
-    }
-    for j, x in enumerate(lambdas, start=1):
-        witness[x] = param_skolem(key, j)
-    expected = set(subst_atoms(compile_signature(sig).atoms, witness))
+    rng = random.Random(11)
+    dotted = ["lang", "java.util", "java.util.Map", "Map.Entry", "Entry"]
+    sigs = {}
+    for sig in [parse_signature(JAVA_MAX)] + [
+        Signature(
+            lang=Const(rng.choice(["java", "php"])),
+            namespace=Const(rng.choice(dotted)),
+            class_name=Const(rng.choice(dotted)),
+            head=Plain(Const(rng.choice(NAMES + dotted))),
+            params=tuple(
+                Param(_tok(rng, TYPES), _tok(rng, PARAM_NAMES + ["UNK"]), j)
+                for j in range(1, arity + 1)
+            ),
+            vararg=arity > 0 and rng.random() < 0.3,
+            ret=_tok(rng, TYPES),
+        )
+        for arity in [rng.randint(0, 4) for _ in range(60)]
+    ]:
+        sigs.setdefault(function_key(sig), sig)
+    assert {len(sig.params) for sig in sigs.values()} == {0, 1, 2, 3, 4}
+    assert any(sig.vararg for sig in sigs.values())
 
-    store = FactStore()
-    ingest_signature(store, sig)
-    assert set(store.facts("fun")) | set(store.facts("eq")) | set(
-        store.facts("lang")
-    ) | set(store.facts("type")) | set(store.facts("var")) | set(
-        store.facts("has_param")
-    ) | set(store.facts("namespace")) | set(store.facts("in_namespace")) | set(
-        store.facts("class")
-    ) | set(store.facts("in_class")) == expected
+    store, expected = FactStore(), set()
+    for key, sig in sigs.items():
+        lambdas, ent = binder_names(sig)
+        witness = {
+            ent["v"]: ret_skolem(key),
+            ent["f"]: fn_skolem(key),
+            ent["n"]: ns_skolem(key.lang, key.namespace),
+            ent["c"]: cls_skolem(key.lang, key.namespace, key.class_name),
+        }
+        for j, x in enumerate(lambdas, start=1):
+            witness[x] = param_skolem(key, j)
+        atoms = subst_atoms(compile_signature(sig).atoms, witness)
+        assert _skolemize(key, sig) == atoms
+        expected |= set(atoms)
+        ingest_signature(store, sig)
+    assert set().union(*(
+        store.facts(pred) for pred in (
+            "fun", "eq", "lang", "type", "var", "has_param",
+            "namespace", "in_namespace", "class", "in_class",
+        )
+    )) == expected
 
 
 def test_oracle_reports_a_renamed_label_by_its_spelling(max_store):
