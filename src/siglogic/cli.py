@@ -15,16 +15,18 @@ file is written beside it, then renamed over it).  An equivalence file
 holds one link per line: two tab-separated keys, each
 `lang|namespace|class|name|arity`.
 
-All input is read as UTF-8.  Exit codes: 0 success, 1 parse/normalize
-error, key conflict, input that is not UTF-8 or I/O error, 2 usage error.
+All input is read as UTF-8; a leading byte-order mark is dropped, so
+`ingest` writes the KB back without one.  Exit codes: 0 success,
+1 parse/normalize error, key conflict, input that is not UTF-8 or I/O
+error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
+import re
 import shutil
 import sys
 
@@ -91,11 +93,12 @@ def _read(path) -> str:
 
 
 def _decode(path, data) -> str:
-    """UTF-8 bytes as text; bytes that are not UTF-8 are a `path:line` error."""
+    """UTF-8 bytes as text without a leading byte-order mark; bytes that are
+    not UTF-8 are a `path:line` error."""
     if isinstance(data, str):  # read from a text stream without a byte buffer
-        return data
+        return data.removeprefix("\ufeff")
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         head = data[:e.start].decode("utf-8")
         # `\n`, `\r` and `\r\n` each end a line, as in _lines
@@ -103,12 +106,17 @@ def _decode(path, data) -> str:
         raise _LineError(path, lineno, "invalid UTF-8: %s" % e.reason)
 
 
+# A line with the `\n`, `\r` or `\r\n` that ends it; the last may have none.
+_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
 def _lines(text):
     """(lineno, line) for each non-blank line of text, its line break cut.
 
     Lines end at `\n`, `\r` or `\r\n`, as in Python's text mode.
     """
-    for i, line in enumerate(io.StringIO(text, newline=""), start=1):
+    for i, m in enumerate(_LINE_RE.finditer(text), start=1):
+        line = m.group()
         if line.strip():
             yield i, line.rstrip("\r\n")
 
@@ -214,8 +222,9 @@ def _load_eq(path) -> kb.EquivStore:
 
 
 def _parse_query(text):
+    """The query's signature, its language lowercased like the KB's."""
     try:
-        return dsl.parse_signature(text)
+        return normalizer.lowercase_lang(dsl.parse_signature(text))
     except dsl.ParseError as e:
         raise _LineError("<query>", 1, str(e))
 

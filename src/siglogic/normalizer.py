@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import re
 
 from . import dsl
 from .model import (
@@ -68,41 +69,46 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str) -> Signature:
             raise NotGroundAfterNormalize(
                 "normalized input contains wildcards: %r" % (raw,)
             )
-        lang = sig.lang
-        if isinstance(lang, Const) and lang.token != lang.token.lower():
-            sig = dataclasses.replace(sig, lang=Const(lang.token.lower()))
-        return sig
+        return lowercase_lang(sig)
 
     if "?" in raw:
         raise NotGroundAfterNormalize(
             "raw input contains wildcard syntax: %r" % (raw,)
         )
 
-    head_text, args_text = _split_paren(raw, dialect)
-    tokens = head_text.split()
+    head_text, args_text, args_at = _split_paren(raw, dialect)
+    words = _words(head_text, 0)
     if dialect is Dialect.JAVA:
-        ns, cls, ret, name = _head_java(tokens, raw, dialect)
-        params, vararg = _params_typed(args_text, raw, dialect, sigils=False)
+        ns, cls, ret, name = _head_java(words, dialect)
+        params, vararg = _params_typed(args_text, args_at, dialect, sigils=False)
     elif dialect is Dialect.PYTHON:
-        ns, cls, ret, name = _head_python(tokens, raw, dialect)
-        params, vararg = _params_untyped(args_text, raw, dialect)
+        ns, cls, ret, name = _head_python(words, dialect)
+        params, vararg = _params_untyped(args_text, args_at, dialect)
     else:
-        ns, cls, ret, name = _head_php(tokens, raw, dialect)
-        params, vararg = _params_typed(args_text, raw, dialect, sigils=True)
+        ns, cls, ret, name = _head_php(words, dialect)
+        params, vararg = _params_typed(args_text, args_at, dialect, sigils=True)
 
     if vararg and not params:
         raise DialectParseError(
-            dialect, raw.index("("), "vararg marker requires a preceding parameter"
+            dialect, args_at - 1, "vararg marker requires a preceding parameter"
         )
     return Signature(
         lang=Const(lang_tag),
-        namespace=_const_tok(ns, raw, dialect),
-        class_name=_const_tok(cls, raw, dialect),
-        head=Plain(_const_tok(name, raw, dialect)),
+        namespace=_const_tok(ns, dialect),
+        class_name=_const_tok(cls, dialect),
+        head=Plain(_const_tok(name, dialect)),
         params=tuple(params),
         vararg=vararg,
-        ret=UNK if ret is None else _const_tok(ret, raw, dialect),
+        ret=UNK if ret is None else _const_tok(ret, dialect),
     )
+
+
+def lowercase_lang(sig: Signature) -> Signature:
+    """sig with its language tag lowercased, as every KB stores it."""
+    lang = sig.lang
+    if isinstance(lang, Const) and lang.token != lang.token.lower():
+        sig = dataclasses.replace(sig, lang=Const(lang.token.lower()))
+    return sig
 
 
 def _split_paren(raw: str, dialect: Dialect):
@@ -114,10 +120,25 @@ def _split_paren(raw: str, dialect: Dialect):
         raise DialectParseError(dialect, len(raw), "missing closing ')'")
     if raw[close_i + 1 :].strip():
         raise DialectParseError(dialect, close_i + 1, "trailing text after ')'")
-    return raw[:open_i], raw[open_i + 1 : close_i]
+    return raw[:open_i], raw[open_i + 1 : close_i], open_i + 1
 
 
-def _head_java(tokens, raw, dialect):
+_WORD_RE = re.compile(r"\S+")
+
+# Defaults for a slot the raw text leaves out; they are valid tokens, so
+# their offset is never reported.
+_CORE, _BUILTIN = (0, "core"), (0, "builtin")
+
+
+def _words(text, start):
+    """(offset, word) for each word of text, which starts at `start` in raw.
+
+    Errors report these offsets, so each names the occurrence at fault.
+    """
+    return [(start + m.start(), m.group()) for m in _WORD_RE.finditer(text)]
+
+
+def _head_java(tokens, dialect):
     # [namespace] [class] returntype name — identified from the right.
     if not tokens or len(tokens) > 4:
         raise DialectParseError(
@@ -125,87 +146,86 @@ def _head_java(tokens, raw, dialect):
         )
     name = tokens[-1]
     ret = tokens[-2] if len(tokens) >= 2 else None
-    cls = tokens[-3] if len(tokens) >= 3 else "builtin"
-    ns = tokens[-4] if len(tokens) >= 4 else "core"
+    cls = tokens[-3] if len(tokens) >= 3 else _BUILTIN
+    ns = tokens[-4] if len(tokens) >= 4 else _CORE
     return ns, cls, ret, name
 
 
-def _head_python(tokens, raw, dialect):
+def _head_python(tokens, dialect):
     # [module] [class] name — python docs carry no return type here.
     if not tokens or len(tokens) > 3:
         raise DialectParseError(dialect, 0, "expected `[module] [class] name(`")
     name = tokens[-1]
-    cls = tokens[-2] if len(tokens) >= 3 else "builtin"
-    ns = tokens[0] if len(tokens) >= 2 else "core"
+    cls = tokens[-2] if len(tokens) >= 3 else _BUILTIN
+    ns = tokens[0] if len(tokens) >= 2 else _CORE
     return ns, cls, None, name
 
 
-def _head_php(tokens, raw, dialect):
+def _head_php(tokens, dialect):
     # returntype name — namespace and class are never written in PHP docs.
     if not tokens or len(tokens) > 2:
         raise DialectParseError(dialect, 0, "expected `[returntype] name(`")
     name = tokens[-1]
     ret = tokens[-2] if len(tokens) >= 2 else None
-    return "core", "builtin", ret, name
+    return _CORE, _BUILTIN, ret, name
 
 
 _VARARG = ("..", "...")
 
 
-def _params_typed(args_text, raw, dialect, sigils: bool):
+def _params_typed(args_text, start, dialect, sigils: bool):
     params = []
     vararg = False
-    groups = [g.strip() for g in args_text.split(",")] if args_text.strip() else []
+    groups = args_text.split(",") if args_text.strip() else []
     for i, group in enumerate(groups):
+        words = _words(group, start)
+        at = words[0][0] if words else start
+        start += len(group) + 1  # past the group and its comma
+        group = group.strip()
         if group in _VARARG:
             if i != len(groups) - 1:
-                raise DialectParseError(
-                    dialect, raw.index(group), "vararg marker must be last"
-                )
+                raise DialectParseError(dialect, at, "vararg marker must be last")
             vararg = True
             continue
-        words = group.split()
         if len(words) == 1:
-            type_tok, name_tok = None, words[0]
+            type_word, name_word = None, words[0]
         elif len(words) == 2:
-            type_tok, name_tok = words
+            type_word, name_word = words
         else:
             raise DialectParseError(
-                dialect, raw.index(group), "expected `type name` or `name`: %r" % group
+                dialect, at, "expected `type name` or `name`: %r" % group
             )
+        name_at, name_tok = name_word
         if sigils and name_tok.startswith("$"):
-            name_tok = name_tok[1:]
+            name_word = (name_at + 1, name_tok[1:])
         params.append(
             Param(
-                UNK if type_tok is None else _const_tok(type_tok, raw, dialect),
-                _const_tok(name_tok, raw, dialect),
+                UNK if type_word is None else _const_tok(type_word, dialect),
+                _const_tok(name_word, dialect),
                 len(params) + 1,
             )
         )
     return params, vararg
 
 
-def _params_untyped(args_text, raw, dialect):
+def _params_untyped(args_text, start, dialect):
     # space-separated names, commas tolerated
     vararg = False
-    names = args_text.replace(",", " ").split()
-    if names and names[-1] in _VARARG:
+    names = _words(args_text.replace(",", " "), start)
+    if names and names[-1][1] in _VARARG:
         names = names[:-1]
         vararg = True
     params = [
-        Param(UNK, _const_tok(n, raw, dialect), i + 1) for i, n in enumerate(names)
+        Param(UNK, _const_tok(n, dialect), i + 1) for i, n in enumerate(names)
     ]
     return params, vararg
 
 
-def _const_tok(tok, raw, dialect):
+def _const_tok(word, dialect):
+    """The slot value of an (offset, token) word."""
+    at, tok = word
     if tok == "UNK":
         return UNK
     if not TOKEN_RE.fullmatch(tok):
-        raise DialectParseError(
-            dialect, max(raw.find(tok), 0), "invalid token %r" % (tok,)
-        )
+        raise DialectParseError(dialect, at, "invalid token %r" % (tok,))
     return Const(tok)
-
-
-

@@ -12,6 +12,7 @@ from conftest import (
     JAVA_MAX_RAW,
     PHP_MAX,
     PHP_MAX_RAW,
+    PY_MAX,
     WILDCARD_QUERY,
 )
 
@@ -393,3 +394,57 @@ def test_invalid_utf8_on_stdin_is_a_line_diagnostic():
         code = run(["normalize"], stdin=stdin, stdout=out, stderr=err)
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue() == "<stdin>:2: invalid UTF-8: invalid start byte\n"
+
+
+def test_query_language_is_lowercased_like_the_kb(kb_path):
+    lower = _run(["query", "java N? C?::f?(?) -> r?", "--kb", kb_path])
+    assert lower[0] == 0 and JAVA_MAX in lower[1]
+    assert _run(["query", "JAVA N? C?::f?(?) -> r?", "--kb", kb_path]) == lower
+
+
+def test_equiv_source_language_is_lowercased_like_the_kb(kb_path, tmp_path):
+    links = tmp_path / "max.txt"
+    links.write_text(
+        "java|lang|Math|max|2\tpython|decimal|Context|max|2\n", encoding="utf-8"
+    )
+    argv = ["--kb", kb_path, "--eq", str(links)]
+    lower = _run(["equiv", "java lang Math::EquivIn(max,python)(?) -> r?"] + argv)
+    assert lower[0] == 0 and PY_MAX in lower[1]
+    assert _run(
+        ["equiv", "JAVA lang Math::EquivIn(max,python)(?) -> r?"] + argv
+    ) == lower
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+def test_byte_order_mark_is_dropped_from_a_kb(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kb.txt").write_bytes(JAVA_MAX.encode() + b"\n")
+    (tmp_path / "bom.txt").write_bytes(_BOM + JAVA_MAX.encode() + b"\n")
+    facts = _run(["facts", "--kb", "kb.txt"])
+    assert facts[0] == 0
+    assert _run(["facts", "--kb", "bom.txt"]) == facts
+    # line numbers of later diagnostics are unchanged
+    (tmp_path / "bad.txt").write_bytes(
+        _BOM + JAVA_MAX.encode() + b"\nnot a signature\n"
+    )
+    code, _, err = _run(["facts", "--kb", "bad.txt"])
+    assert code == 1 and err.startswith("bad.txt:2: ")
+
+
+def test_byte_order_mark_is_dropped_from_an_input_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_bytes(_BOM + JAVA_MAX_RAW.encode() + b"\n")
+    argv = ["normalize", "--dialect", "java", "--lang", "java", "in.txt"]
+    assert _run(argv) == (0, JAVA_MAX + "\n", "")
+
+
+def test_byte_order_mark_is_dropped_from_stdin():
+    argv = ["normalize", "--dialect", "java", "--lang", "java"]
+    out, err = io.StringIO(), io.StringIO()
+    with io.TextIOWrapper(io.BytesIO(_BOM + JAVA_MAX_RAW.encode() + b"\n")) as stdin:
+        code = run(argv, stdin=stdin, stdout=out, stderr=err)
+    assert (code, out.getvalue(), err.getvalue()) == (0, JAVA_MAX + "\n", "")
+    # a text stream without a byte buffer
+    assert _run(argv, "\ufeff" + JAVA_MAX_RAW + "\n") == (0, JAVA_MAX + "\n", "")

@@ -119,3 +119,14 @@ def test_normalized_dialect_error_states_the_offset_once():
         "normalized dialect, at offset %d: expected end of input, found 'l'"
         % (len(JAVA_MAX) + 1)
     )
+
+
+@pytest.mark.parametrize("raw, offset", [
+    ("lang Math long max(Math long max)", 19),  # the group, not the head
+    ("lang Math long max(long a.., .., long b)", 29),  # the `..`, not `a..`
+    ("lang a#b long max(long a#)", 23),  # the param, not the namespace
+], ids=["bad-group", "misplaced-vararg", "invalid-token"])
+def test_error_offset_points_at_the_offending_occurrence(raw, offset):
+    with pytest.raises(DialectParseError) as e:
+        normalize(raw, Dialect.JAVA, "java")
+    assert e.value.position == offset
