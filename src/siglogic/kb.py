@@ -3,14 +3,18 @@
 The store of record is a table of the ingested signatures by FunctionKey.
 Its facts are derived on demand by skolemizing each signature: the atom
 layout its compiled formula has (`logic.signature_atoms`) is laid out
-over witnesses in place of binders.  A witness is a plain string derived
-from the function's identity (a `str` never equals a `ConstTok`, so a
-witness cannot pass for a token).  Namespace witnesses are shared
-across functions of the same (lang, namespace); class witnesses across
-(lang, namespace, class).  Queries are signatures with wildcards,
-answered by slot-by-slot matching against the table.  The backtracking
-unifier of the query's compiled atoms against the facts is kept as the
-oracle, `brute_force_answer`.
+over witnesses in place of binders.  That layout has two callers,
+`compile_signature` and `_skolemize`, and takes its builders as the
+arguments `atom`, `app` and `const`.  The oracle path (`FactStore.facts`,
+`brute_force_answer`) keeps the defaults and builds `Atom`s;
+`dump_facts` passes `call_text` and `str`, so each fact is built as its
+printed line.  A witness is a plain string derived from the function's
+identity (a `str` never equals a `ConstTok`, so a witness cannot pass
+for a token).  Namespace witnesses are shared across functions of the
+same (lang, namespace); class witnesses across (lang, namespace, class).
+Queries are signatures with wildcards, answered by slot-by-slot matching
+against the table.  The backtracking unifier of the query's compiled
+atoms against the facts is kept as the oracle, `brute_force_answer`.
 """
 
 from __future__ import annotations
@@ -27,20 +31,18 @@ from .logic import (
     Term,
     UnsupportedHead,
     Var,
+    call_text,
     compile_signature,
-    print_atom,
     signature_atoms,
 )
 from .model import (
     Const,
     EquivIn,
     FunctionKey,
-    NotGround,
     Plain,
     Signature,
     Unk,
     function_key,
-    is_ground,
     slot_token,
     wildcard_labels,
 )
@@ -132,11 +134,12 @@ class FactStore:
         )
 
 
-def _skolemize(key: FunctionKey, sig: Signature):
+def _skolemize(key: FunctionKey, sig: Signature, **build):
     """The ground atoms of one stored signature.
 
     They are the shared atom layout (`signature_atoms`, which
-    `compile_signature` lays out over binders) over its witnesses.
+    `compile_signature` lays out over binders) over its witnesses; `build`
+    passes on that layout's builders.
     """
     return signature_atoms(
         sig,
@@ -145,6 +148,7 @@ def _skolemize(key: FunctionKey, sig: Signature):
         ns_skolem(key.lang, key.namespace),
         cls_skolem(key.lang, key.namespace, key.class_name),
         tuple(param_skolem(key, j) for j in range(1, len(sig.params) + 1)),
+        **build,
     )
 
 
@@ -162,9 +166,7 @@ def ingest_signature(store: FactStore, sig: Signature) -> int:
     other signature under a stored key, even one differing only in the
     vararg flag, raises KeyConflict.
     """
-    if not is_ground(sig):
-        raise NotGround("only ground signatures can be ingested")
-    key = function_key(sig)
+    key = function_key(sig)  # raises NotGround for a non-ground signature
     stored = store._sigs.get(key)
     if stored is not None:
         if stored == sig:
@@ -412,9 +414,9 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
 
 def dump_facts(store: FactStore):
     """All facts as canonical text atoms, sorted; deterministic."""
-    # print_atom is injective on ground atoms: dedupe the cheaper strings
+    # each fact is built as the line print_atom would give its Atom
     return sorted({
-        print_atom(atom)
+        line
         for key, sig in store._sigs.items()
-        for atom in _skolemize(key, sig)
+        for line in _skolemize(key, sig, atom=call_text, app=call_text, const=str)
     })

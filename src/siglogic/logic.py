@@ -22,9 +22,8 @@ from .model import (
     EquivIn as EquivInHead,
     Plain,
     Signature,
-    SlotValue,
-    Unk,
     Wildcard,
+    slot_token,
     wildcard_labels,
 )
 
@@ -135,36 +134,42 @@ def binder_names(sig: Signature):
     return lambdas, entities
 
 
-def _slot_term(slot: SlotValue) -> Term:
-    if isinstance(slot, Const):
-        return ConstTok(slot.token)
-    if isinstance(slot, Unk):
-        return ConstTok("UNK")
-    return Var(slot.label)
+def call_text(name: str, args) -> str:
+    """`name(a1,...,an)`: the text of an atom or an application."""
+    return "%s(%s)" % (name, ",".join(args))
 
 
-def signature_atoms(sig: Signature, v, f, n, c, xs) -> tuple:
+def signature_atoms(sig: Signature, v, f, n, c, xs,
+                    atom=Atom, app=App, const=ConstTok) -> tuple:
     """The 8 + 3n atoms of sig over the given terms.
 
     v, f, n and c stand for the value, function, namespace and class
     entities, xs for the parameters in order: binder variables when
-    compiling, witnesses when the KB skolemizes a stored signature.
+    `compile_signature` compiles, witnesses when the KB skolemizes a
+    stored signature.  `atom`, `app` and `const` build each atom, the
+    application in `eq` and each constant: model objects by default, and
+    their printed text (`call_text`, `str`) for `kb.dump_facts`.
     """
-    fname = _slot_term(sig.head.name_slot)
+    def term(slot):
+        if isinstance(slot, Wildcard):
+            return Var(slot.label)
+        return const(slot_token(slot))
+
+    fname = term(sig.head.name_slot)
     atoms = [
-        Atom("fun", (f, fname)),
-        Atom("eq", (v, App(fname, xs))),
-        Atom("lang", (f, _slot_term(sig.lang))),
-        Atom("type", (v, _slot_term(sig.ret))),
-        Atom("class", (c, _slot_term(sig.class_name))),
-        Atom("in_class", (f, c)),
-        Atom("namespace", (n, _slot_term(sig.namespace))),
-        Atom("in_namespace", (f, n)),
+        atom("fun", (f, fname)),
+        atom("eq", (v, app(fname, xs))),
+        atom("lang", (f, term(sig.lang))),
+        atom("type", (v, term(sig.ret))),
+        atom("class", (c, term(sig.class_name))),
+        atom("in_class", (f, c)),
+        atom("namespace", (n, term(sig.namespace))),
+        atom("in_namespace", (f, n)),
     ]
     for p, x in zip(sig.params, xs):
-        atoms.append(Atom("var", (x, _slot_term(p.name_slot))))
-        atoms.append(Atom("type", (x, _slot_term(p.type_slot))))
-        atoms.append(Atom("has_param", (f, x, ConstTok(str(p.position)))))
+        atoms.append(atom("var", (x, term(p.name_slot))))
+        atoms.append(atom("type", (x, term(p.type_slot))))
+        atoms.append(atom("has_param", (f, x, const(str(p.position)))))
     return tuple(atoms)
 
 
@@ -288,18 +293,16 @@ def print_term(term: Term, formula: Formula = None) -> str:
         return term.name
     if isinstance(term, ConstTok):
         return term.token
-    args = ",".join(print_term(a) for a in term.args)  # an App
+    args = [print_term(a) for a in term.args]  # an App
     if formula is not None and formula.arity_unconstrained:
-        args = "?"
+        args = ["?"]
     elif formula is not None and formula.min_arity:
-        args += ",..."
-    return "%s(%s)" % (print_term(term.fn), args)
+        args.append("...")
+    return call_text(print_term(term.fn), args)
 
 
 def print_atom(atom: Atom, formula: Formula = None) -> str:
-    return "%s(%s)" % (
-        atom.pred, ",".join(print_term(a, formula) for a in atom.args)
-    )
+    return call_text(atom.pred, [print_term(a, formula) for a in atom.args])
 
 
 def print_formula(formula: Formula) -> str:

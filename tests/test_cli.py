@@ -172,9 +172,9 @@ def compile_calls(monkeypatch):
     calls = []
     real = kb.signature_atoms
 
-    def counted(sig, *terms):
+    def counted(sig, *terms, **build):
         calls.append(sig)
-        return real(sig, *terms)
+        return real(sig, *terms, **build)
 
     monkeypatch.setattr(kb, "signature_atoms", counted)
     return calls

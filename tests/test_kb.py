@@ -502,7 +502,9 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
     from siglogic.kb import (
         _skolemize, cls_skolem, fn_skolem, param_skolem, ret_skolem,
     )
-    from siglogic.logic import binder_names, compile_signature, subst_atoms
+    from siglogic.logic import (
+        binder_names, compile_signature, print_atom, subst_atoms,
+    )
     from siglogic.model import function_key
 
     rng = random.Random(11)
@@ -548,6 +550,7 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
             "namespace", "in_namespace", "class", "in_class",
         )
     )) == expected
+    assert dump_facts(store) == sorted({print_atom(a) for a in expected})
 
 
 def test_oracle_reports_a_renamed_label_by_its_spelling(max_store):
