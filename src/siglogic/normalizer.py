@@ -215,6 +215,9 @@ def _params_untyped(args_text, start, dialect):
     if names and names[-1][1] in _VARARG:
         names = names[:-1]
         vararg = True
+    for at, name in names:
+        if name in _VARARG:
+            raise DialectParseError(dialect, at, "vararg marker must be last")
     params = [
         Param(UNK, _const_tok(n, dialect), i + 1) for i, n in enumerate(names)
     ]

@@ -121,12 +121,17 @@ def test_normalized_dialect_error_states_the_offset_once():
     )
 
 
-@pytest.mark.parametrize("raw, offset", [
-    ("lang Math long max(Math long max)", 19),  # the group, not the head
-    ("lang Math long max(long a.., .., long b)", 29),  # the `..`, not `a..`
-    ("lang a#b long max(long a#)", 23),  # the param, not the namespace
-], ids=["bad-group", "misplaced-vararg", "invalid-token"])
-def test_error_offset_points_at_the_offending_occurrence(raw, offset):
+@pytest.mark.parametrize("dialect, raw, offset", [
+    # the group, not the head
+    (Dialect.JAVA, "lang Math long max(Math long max)", 19),
+    # the `..`, not `a..`
+    (Dialect.JAVA, "lang Math long max(long a.., .., long b)", 29),
+    # the param, not the namespace
+    (Dialect.JAVA, "lang a#b long max(long a#)", 23),
+    # a marker that is not last
+    (Dialect.PYTHON, "decimal Context max(a, ..., b)", 23),
+], ids=["bad-group", "misplaced-vararg", "invalid-token", "python-misplaced-vararg"])
+def test_error_offset_points_at_the_offending_occurrence(dialect, raw, offset):
     with pytest.raises(DialectParseError) as e:
-        normalize(raw, Dialect.JAVA, "java")
+        normalize(raw, dialect, dialect.value)
     assert e.value.position == offset
