@@ -132,10 +132,17 @@ def _input_lines(paths, stdin):
             yield path, lineno, line
 
 
+def _input_sigs(args, stdin):
+    """(path, lineno, sig) for each non-blank input line, normalized."""
+    dialect = args.dialect and Dialect(args.dialect)
+    for path, lineno, line in _input_lines(args.inputs, stdin):
+        yield path, lineno, _normalize_line(path, lineno, line, dialect, args.lang)
+
+
 def _normalize_line(path, lineno, line, dialect, lang):
     """One non-blank corpus line to a ground Signature."""
     if dialect is not None:
-        raw, dia, tag = line, Dialect(dialect), lang
+        raw, dia, tag = line, dialect, lang
     elif "\t" in line:
         fields = line.split("\t")
         if len(fields) != 3:
@@ -154,7 +161,7 @@ def _normalize_line(path, lineno, line, dialect, lang):
             path, lineno, "--lang is required for the %s dialect" % dia.value
         )
     try:
-        return normalizer.normalize(raw, dia, tag or "unknown")
+        return normalizer.normalize(raw, dia, tag or None)
     except (normalizer.DialectParseError,
             normalizer.NotGroundAfterNormalize,
             ModelError, ValueError) as e:
@@ -164,7 +171,7 @@ def _normalize_line(path, lineno, line, dialect, lang):
 def _load_kb(path, text) -> kb.FactStore:
     store = kb.FactStore()
     for lineno, line in _lines(text):
-        sig = _normalize_line(path, lineno, line, Dialect.NORMALIZED.value, None)
+        sig = _normalize_line(path, lineno, line, Dialect.NORMALIZED, None)
         _ingest_line(store, path, lineno, sig)
     return store
 
@@ -264,8 +271,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
     try:
         if args.command == "normalize":
-            for path, lineno, line in _input_lines(args.inputs, stdin):
-                sig = _normalize_line(path, lineno, line, args.dialect, args.lang)
+            for _, _, sig in _input_sigs(args, stdin):
                 print(dsl.print_signature(sig), file=out)
 
         elif args.command == "compile":
@@ -278,11 +284,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 print(logic.print_formula(formula), file=out)
 
         elif args.command == "ingest":
-            entries = [
-                (path, lineno,
-                 _normalize_line(path, lineno, line, args.dialect, args.lang))
-                for path, lineno, line in _input_lines(args.inputs, stdin)
-            ]
+            entries = list(_input_sigs(args, stdin))
             try:
                 text = _read(args.kb)
             except FileNotFoundError:

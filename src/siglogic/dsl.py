@@ -12,6 +12,13 @@ Grammar (whitespace between top-level tokens is insignificant):
 The printer emits the canonical form: single spaces between the three
 leading slots, no space around "::", params comma-separated without
 spaces, " -> " before the return slot.
+
+A line with a plain head and an explicit parameter list, as every KB
+line and every printed ground signature has, is read by one whole-line
+match (`_LINE_RE`).  Any other text (an `EquivIn(` head, a `(?)` list,
+a malformed line) falls back to the scanner, which is also the only
+source of every ParseError.  Both paths share one value per distinct
+token and one frozen Param per distinct (type, name, position).
 """
 
 from __future__ import annotations
@@ -20,15 +27,16 @@ import functools
 import re
 
 from .model import (
-    UNK,
     Const,
     EquivIn,
     Param,
     Plain,
+    SHARED_CACHE_SIZE,
     Signature,
     SlotValue,
     TOKEN_RE,
     Wildcard,
+    ground_slot,
     slot_token,
 )
 
@@ -97,26 +105,63 @@ class _Scanner:
         self.pos = m.end(1)
         return m.group(1)
 
-    def slot(self, what: str = "a slot") -> SlotValue:
+    def slot_text(self, what: str) -> tuple:
+        """The next slot's token and its wildcard mark (`?` or empty)."""
         m = self._match(what)
         self.pos = m.end()
-        tok, mark = m.groups()
-        return Wildcard(tok) if mark else _ground_slot(tok)
+        return m.groups()
+
+    def slot(self, what: str = "a slot") -> SlotValue:
+        return _slot(*self.slot_text(what))
 
 
-_SLOT_RE = re.compile(r"\s*(%s)(\??)" % TOKEN_RE.pattern)
+# A token ends only where the scanner's greedy match ends it, so a
+# backtracking match never splits one token into two.
+_TOKEN = r"%s(?!%s)" % (TOKEN_RE.pattern, TOKEN_RE.pattern)
+# Whitespace, then a slot's token and its wildcard mark as two groups.
+_SLOT = r"\s*(%s)(\??)" % _TOKEN
+_SLOT_RE = re.compile(_SLOT)
+_PARAM_RE = re.compile(_SLOT + r"\s*:" + _SLOT)
+_PARAM = r"\s*%s\??\s*:\s*%s\??" % (_TOKEN, _TOKEN)
+# A whole line with a plain head and an explicit parameter list.  Groups:
+# lang, namespace, class and head (token and mark each), the parameter
+# span, the `,...` marker, and the return slot (token and mark).
+_LINE_RE = re.compile(
+    _SLOT * 3 + r"\s*::(?!\s*EquivIn\()" + _SLOT
+    + r"\s*\(\s*(?:(%s(?:\s*,(?!\s*\.\.\.)%s)*)(\s*,\s*\.\.\.)?)?\s*\)"
+    % (_PARAM, _PARAM)
+    + r"\s*->" + _SLOT + r"\s*"
+)
 
-# Distinct slot tokens kept shared; a 3k-line KB has under a thousand.
-_SLOT_CACHE_SIZE = 4096
+
+def _slot(tok: str, mark: str) -> SlotValue:
+    return Wildcard(tok) if mark else ground_slot(tok)
 
 
-@functools.lru_cache(maxsize=_SLOT_CACHE_SIZE)
-def _ground_slot(tok: str) -> SlotValue:
-    """One shared value per distinct token (UNK or a frozen Const)."""
-    return UNK if tok == "UNK" else Const(tok)
+@functools.lru_cache(maxsize=SHARED_CACHE_SIZE)
+def _param(type_tok, type_mark, name_tok, name_mark, position) -> Param:
+    """One shared frozen Param per distinct (type, name, position)."""
+    return Param(_slot(type_tok, type_mark), _slot(name_tok, name_mark), position)
 
 
 def parse_signature(text: str) -> Signature:
+    m = _LINE_RE.fullmatch(text)
+    if m is None:
+        return _scan_signature(text)
+    g = m.groups()
+    params = _PARAM_RE.finditer(text, m.start(9), m.end(9)) if g[8] else ()
+    return Signature(
+        lang=_slot(g[0], g[1]),
+        namespace=_slot(g[2], g[3]),
+        class_name=_slot(g[4], g[5]),
+        head=Plain(_slot(g[6], g[7])),
+        params=tuple(_param(*p.groups(), i) for i, p in enumerate(params, 1)),
+        vararg=g[9] is not None,
+        ret=_slot(g[10], g[11]),
+    )
+
+
+def _scan_signature(text: str) -> Signature:
     s = _Scanner(text)
     lang = s.slot("a language slot")
     namespace = s.slot("a namespace slot")
@@ -147,7 +192,7 @@ def parse_signature(text: str) -> Signature:
         if s.peek() == ",":
             raise MixedWildcardParams(s.pos)
     elif s.peek() != ")":
-        params.append(_param(s, len(params) + 1))
+        params.append(_scan_param(s, len(params) + 1))
         while True:
             s.skip_ws()
             if s.peek() != ",":
@@ -160,7 +205,7 @@ def parse_signature(text: str) -> Signature:
                 break
             if s.peek() == "?":
                 raise MixedWildcardParams(s.pos)
-            params.append(_param(s, len(params) + 1))
+            params.append(_scan_param(s, len(params) + 1))
     s.expect(")")
     s.expect("->")
     ret = s.slot("a return slot")
@@ -179,11 +224,10 @@ def parse_signature(text: str) -> Signature:
     )
 
 
-def _param(s: _Scanner, position: int) -> Param:
-    type_slot = s.slot("a parameter type")
+def _scan_param(s: _Scanner, position: int) -> Param:
+    type_text = s.slot_text("a parameter type")
     s.expect(":")
-    name_slot = s.slot("a parameter name")
-    return Param(type_slot, name_slot, position)
+    return _param(*type_text, *s.slot_text("a parameter name"), position)
 
 
 def _slot_str(slot: SlotValue) -> str:

@@ -9,6 +9,7 @@ wildcard ``label?``.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -46,6 +47,16 @@ class Unk:
 
 
 UNK = Unk()
+
+# Distinct tokens and parameters kept shared: a 3k-line KB has under a
+# thousand tokens, and even a 100k-line one under 500 parameters.
+SHARED_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=SHARED_CACHE_SIZE)
+def ground_slot(tok: str):
+    """One shared value per distinct token (UNK or a frozen Const)."""
+    return UNK if tok == "UNK" else Const(tok)
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,8 @@ class Signature:
             raise ModelError("vararg requires at least one explicit param")
         if isinstance(self.head, EquivIn) and not isinstance(self.lang, Const):
             raise ModelError("EquivIn requires a concrete source language")
+        # worked out once: a KB line is checked by normalize and function_key
+        object.__setattr__(self, "_ground", _has_no_wildcard(self))
 
 
 @dataclass(frozen=True)
@@ -142,14 +155,20 @@ class FunctionKey:
 
     def __post_init__(self):
         for tok in (self.lang, self.namespace, self.class_name, self.name):
-            if not TOKEN_RE.fullmatch(tok):
-                raise ModelError("invalid key token: %r" % (tok,))
+            try:  # a token already parsed into a slot is not matched again
+                ground_slot(tok)
+            except ModelError:
+                raise ModelError("invalid key token: %r" % (tok,)) from None
         if self.arity < 0:
             raise ModelError("arity must be >= 0")
 
 
 def is_ground(sig: Signature) -> bool:
     """True iff sig contains no wildcard anywhere.  UNK counts as ground."""
+    return sig._ground
+
+
+def _has_no_wildcard(sig: Signature) -> bool:
     if sig.params_wildcard:
         return False
     if not isinstance(sig.head, Plain):

@@ -50,12 +50,13 @@ class NotGroundAfterNormalize(ValueError):
     """Raw text contained wildcard syntax; wildcards are query-only."""
 
 
-def normalize(raw: str, dialect: Dialect, lang_tag: str) -> Signature:
+def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signature:
+    """raw as a ground signature.  `lang_tag` names the language of raw
+    dialect text; normalized text names its own, so there it may be None."""
     if not raw.strip():
         raise DialectParseError(dialect, 0, "empty input")
-    if not TOKEN_RE.fullmatch(lang_tag):
+    if lang_tag is not None and not TOKEN_RE.fullmatch(lang_tag):
         raise ValueError("invalid language tag: %r" % (lang_tag,))
-    lang_tag = lang_tag.lower()
 
     if dialect is Dialect.NORMALIZED:
         try:
@@ -71,6 +72,8 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str) -> Signature:
             )
         return lowercase_lang(sig)
 
+    if lang_tag is None:
+        raise ValueError("the %s dialect needs a language tag" % dialect.value)
     if "?" in raw:
         raise NotGroundAfterNormalize(
             "raw input contains wildcard syntax: %r" % (raw,)
@@ -93,7 +96,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str) -> Signature:
             dialect, args_at - 1, "vararg marker requires a preceding parameter"
         )
     return Signature(
-        lang=Const(lang_tag),
+        lang=Const(lang_tag.lower()),
         namespace=_const_tok(ns, dialect),
         class_name=_const_tok(cls, dialect),
         head=Plain(_const_tok(name, dialect)),

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglogic.dsl import (
     MixedWildcardParams,
     ParseError,
+    _scan_signature,
     parse_signature,
     print_signature,
 )
@@ -11,6 +13,7 @@ from siglogic.model import (
     UNK,
     Const,
     EquivIn,
+    ModelError,
     Param,
     Plain,
     Signature,
@@ -23,6 +26,11 @@ from strategies import signatures
 def test_repeated_token_parses_to_one_shared_const():
     sig = parse_signature("java lang Math::max(long:a,long:b) -> long")
     assert sig.params[0].type_slot is sig.params[1].type_slot is sig.ret
+    # one Param per (type, name, position), whether the whole-line match
+    # or the scanner (an EquivIn head) reads it
+    for other in ("php core builtin::min(long:a) -> int",
+                  "java lang Math::EquivIn(max,php)(long:a) -> r?"):
+        assert parse_signature(other).params[0] is sig.params[0]
 
 
 def test_parse_concrete_signature():
@@ -142,3 +150,63 @@ def test_parse_print_round_trip(sig):
 def test_print_parse_is_identity_on_canonical_text(sig):
     text = print_signature(sig)
     assert print_signature(parse_signature(text)) == text
+
+
+# Text near the grammar: few distinct tokens (`UNK`, `EquivIn`, dots that
+# may read as `...`), any whitespace or none, then a few one-character
+# edits, so that most lines parse and the rest fail at every position.
+_texts = st.sampled_from(["a", "long", "x.y", "UNK", "EquivIn", "...", "..", "-", "$'_9"])
+_ws = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\x1c", "\u3000"])
+_gaps = st.sampled_from(["", " ", " ", " ", "  ", "\t", "\u3000"])
+
+
+@st.composite
+def _signature_text(draw):
+    def slot():
+        return draw(_texts) + draw(st.sampled_from(["", "", "?"]))
+
+    def sep(text):
+        return draw(_ws) + text + draw(_ws)
+
+    head = draw(st.sampled_from(["slot", "EquivIn(", "EquivIn ("]))
+    if head == "slot":
+        head = slot()
+    elif head == "EquivIn(":
+        head = "EquivIn(" + draw(_texts) + sep(",") + draw(_texts) + ")"
+    else:  # a plain head named EquivIn
+        head = "EquivIn" + draw(_gaps.filter(bool))
+    if draw(st.integers(0, 4)) == 0:
+        params = sep("?")
+    else:
+        params = sep(",").join(
+            slot() + sep(":") + slot() for _ in range(draw(st.integers(0, 4)))
+        )
+        if draw(st.booleans()):
+            params += sep(",") + "..."
+    text = (draw(_ws) + slot() + draw(_gaps) + slot() + draw(_gaps) + slot() + sep("::")
+            + head + sep("(") + params + sep(")") + sep("->") + slot() + draw(_ws))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["delete", "insert", "swap"]))
+        if edit == "insert":
+            text = text[:at] + draw(st.sampled_from(" :,()?.->Ua")) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        elif at + 1 < len(text):
+            text = text[:at] + text[at + 1] + text[at] + text[at + 2:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return type(e), e.byte_offset, e.expected, e.found
+    except ModelError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_signature_text())
+def test_parse_agrees_with_the_scanner(text):
+    assert _outcome(parse_signature, text) == _outcome(_scan_signature, text)
