@@ -207,11 +207,15 @@ def _parse_key(text, path, lineno) -> FunctionKey:
     fields = text.split("|")
     if len(fields) != 5:
         raise _LineError(path, lineno, "expected `lang|ns|class|name|arity`")
+    arity = fields[4]
+    # ASCII digits only: `int` would also read `+2`, `2_0`, ` 2` and `\u0662`
+    if not (arity.isascii() and arity.isdigit()):
+        raise _LineError(path, lineno, "invalid arity %r" % arity)
     try:
         return FunctionKey(
-            fields[0].lower(), fields[1], fields[2], fields[3], int(fields[4])
+            fields[0].lower(), fields[1], fields[2], fields[3], int(arity)
         )
-    except (ModelError, ValueError) as e:
+    except ModelError as e:
         raise _LineError(path, lineno, str(e))
 
 

@@ -163,6 +163,19 @@ def test_equiv_source_not_found_is_an_error(kb_path, eq_path):
     assert "nothing" in err
 
 
+@pytest.mark.parametrize("arity", ["2_0", " 2", "+2", "\u0662"])
+def test_links_arity_is_plain_digits(kb_path, tmp_path, arity):
+    links = tmp_path / "links.txt"
+    links.write_text(
+        "java|lang|Math|max|%s\tpython|decimal|Context|max|2\n" % arity,
+        encoding="utf-8",
+    )
+    code, out, err = _run(["equiv", "java lang Math::EquivIn(max,python)(?) -> r?",
+                           "--kb", kb_path, "--eq", str(links)])
+    assert (code, out) == (1, "")
+    assert err == "%s:1: invalid arity %r\n" % (links, arity)
+
+
 @pytest.fixture
 def compile_calls(monkeypatch):
     """Signatures the KB lays out as atoms, counted at
