@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import re
 import shutil
@@ -343,6 +344,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def main():  # console entry point
+    # One short-lived call per process, and a KB load makes no reference
+    # cycles: the cyclic collector would only rescan the loaded KB.
+    gc.disable()
     raise SystemExit(run())
 
 
