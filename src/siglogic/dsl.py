@@ -123,9 +123,10 @@ _SLOT = r"\s*(%s)(\??)" % _TOKEN
 _SLOT_RE = re.compile(_SLOT)
 _PARAM_RE = re.compile(_SLOT + r"\s*:" + _SLOT)
 _PARAM = r"\s*%s\??\s*:\s*%s\??" % (_TOKEN, _TOKEN)
-# A whole line with a plain head and an explicit parameter list.  Groups:
-# lang, namespace, class and head (token and mark each), the parameter
-# span, the `,...` marker, and the return slot (token and mark).
+# A whole line with a plain head (not `EquivIn(`) and an explicit
+# parameter list, where `...` after a comma is the vararg marker, as the
+# scanner reads it.  Groups: lang, namespace, class and head (token and
+# mark each), the parameter span, the `,...` marker, and the return slot.
 _LINE_RE = re.compile(
     _SLOT * 3 + r"\s*::(?!\s*EquivIn\()" + _SLOT
     + r"\s*\(\s*(?:(%s(?:\s*,(?!\s*\.\.\.)%s)*)(\s*,\s*\.\.\.)?)?\s*\)"
