@@ -15,7 +15,6 @@ and 8 + 3n atoms.  Each distinct wildcard label adds one existential.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Union
 
 from .model import (
     Const,
@@ -65,7 +64,7 @@ class App:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-Term = Union[Var, ConstTok, App]
+Term = Var | ConstTok | App
 
 PREDICATE_ARITIES = {
     "fun": 2,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Union
 
 # Character set of concrete tokens, the DSL grammar's `token`.  `|` and
 # `:` lie outside it, so the KB's `|`-joined witness ids are injective.
@@ -70,7 +69,9 @@ class Wildcard:
             raise ModelError("invalid wildcard label: %r" % (self.label,))
 
 
-SlotValue = Union[Const, Unk, Wildcard]
+# `|` unions, not typing.Union: typing caches each Union it builds, which
+# keeps a re-imported module alive, shared-value caches included.
+SlotValue = Const | Unk | Wildcard
 
 
 def slot_token(slot: SlotValue) -> str:
@@ -113,7 +114,7 @@ class EquivIn:
                 raise ModelError("invalid EquivIn token: %r" % (tok,))
 
 
-FunctionHead = Union[Plain, EquivIn]
+FunctionHead = Plain | EquivIn
 
 
 @dataclass(frozen=True)
