@@ -52,6 +52,13 @@ def test_lang_tag_is_lowercased():
 def test_normalized_dialect_is_pass_through():
     sig = normalize(JAVA_MAX, Dialect.NORMALIZED, "java")
     assert print_signature(sig) == JAVA_MAX
+    # normalized text names its language: the tag may be left out
+    assert normalize(JAVA_MAX, Dialect.NORMALIZED) == sig
+
+
+def test_raw_dialect_needs_a_language_tag():
+    with pytest.raises(ValueError, match="java dialect needs a language tag"):
+        normalize(JAVA_MAX_RAW, Dialect.JAVA)
 
 
 def test_normalized_dialect_lowercases_lang():
