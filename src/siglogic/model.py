@@ -53,7 +53,7 @@ SHARED_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=SHARED_CACHE_SIZE)
-def ground_slot(tok: str):
+def ground_slot(tok: str) -> SlotValue:
     """One shared value per distinct token (UNK or a frozen Const)."""
     return UNK if tok == "UNK" else Const(tok)
 

@@ -105,6 +105,16 @@ def test_function_key_vararg_counts_explicit_params_only():
     assert function_key(sig) == FunctionKey("php", "core", "builtin", "max", 2)
 
 
+@pytest.mark.parametrize("bad", ["has space", "", "a|b", "a?"])
+def test_function_key_rejects_bad_tokens(bad):
+    for i in range(4):
+        fields = ["java", "lang", "Math", "max"]
+        fields[i] = bad
+        with pytest.raises(ModelError) as e:
+            FunctionKey(*fields, 2)
+        assert str(e.value) == "invalid key token: %r" % bad
+
+
 def test_function_key_requires_ground():
     sig = parse_signature("java N? C?::f?(long:a,long:p?) -> long")
     with pytest.raises(NotGround):
