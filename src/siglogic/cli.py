@@ -237,7 +237,7 @@ def _parse_query(text):
     """The query's signature, its language lowercased like the KB's."""
     try:
         return normalizer.lowercase_lang(dsl.parse_signature(text))
-    except dsl.ParseError as e:
+    except (dsl.ParseError, ModelError) as e:
         raise _LineError("<query>", 1, str(e))
 
 
@@ -284,7 +284,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 try:
                     sig = dsl.parse_signature(line)
                     formula = logic.compile_signature(sig)
-                except (dsl.ParseError, logic.LogicError) as e:
+                except (dsl.ParseError, logic.LogicError, ModelError) as e:
                     raise _LineError(path, lineno, str(e))
                 print(logic.print_formula(formula), file=out)
 

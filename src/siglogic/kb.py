@@ -20,26 +20,25 @@ atoms against the facts is kept as the oracle, `brute_force_answer`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .logic import (
     App,
     ConstTok,
     Formula,
     LogicError,
-    NotEquivHead,
     Term,
     UnsupportedHead,
     Var,
     call_text,
     compile_signature,
+    expand_equiv,
     signature_atoms,
 )
 from .model import (
     Const,
     EquivIn,
     FunctionKey,
-    Plain,
     Signature,
     Unk,
     function_key,
@@ -385,30 +384,23 @@ def _match_signature(query: Signature, sig: Signature):
 
 
 def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
-    """Resolve an EquivIn query over the stored signatures and the EquivStore."""
-    if not isinstance(query.head, EquivIn):
-        raise NotEquivHead("answer_equiv requires an EquivIn head")
-    base_sig = replace(query, head=Plain(Const(query.head.base_name)))
-    sources = answer(facts, base_sig)
+    """Each answer to the query's base joined with the answers to its
+    target (`expand_equiv`) that the EquivStore holds equivalent to it."""
+    base, target = expand_equiv(query)
+    sources = answer(facts, base)
     if not sources:
         raise SourceNotFound(
             "no ingested function matches %r" % (query.head.base_name,)
         )
-    target_lang = query.head.target_lang.lower()
     results = set()
     for source in sources:
         for member in eqs.class_of(source.key):
-            if member.lang.lower() != target_lang:
-                continue
             member_sig = facts._sigs.get(member)
             if member_sig is None:
                 continue
-            mapping = dict(source.items)
-            mapping["f'"] = member.name
-            mapping["N"] = member.namespace
-            mapping["C"] = member.class_name
-            mapping["r"] = slot_token(member_sig.ret)
-            results.add(Binding(member, tuple(mapping.items())))
+            binds = _match_signature(target, member_sig)
+            if binds is not None:
+                results.add(Binding(member, source.items + tuple(binds.items())))
     return results
 
 

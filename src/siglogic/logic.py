@@ -112,9 +112,9 @@ class Formula:
         object.__setattr__(self, "atoms", tuple(self.atoms))
 
 
-def _fresh(name, taken):
+def _fresh(name, taken, suffix="_e"):
     while name in taken:
-        name += "_e"
+        name += suffix
     return name
 
 
@@ -261,27 +261,24 @@ def alpha_eq(f1: Formula, f2: Formula) -> bool:
 
 
 def expand_equiv(sig: Signature):
-    """Expand an EquivIn head into its three joint parts.
+    """An EquivIn query's two plain queries, (base, target).
 
-    Returns (base, target_pattern, link): the compiled base signature with
-    the head replaced by its plain name, a fully-wildcarded pattern over
-    the target language, and the `eq` atom linking the two function
-    variables.  The query engine resolves the parts jointly.
+    `base` is sig under the plain base name; `target` is
+    `<target_lang> N? C?::f'?(?) -> r?`, its language lowercased as every
+    KB stores it.  A target label sig already uses gets primes until it is
+    fresh (`N'`, `f''`).  The EquivStore links a target answer to a base
+    answer.
     """
     if not isinstance(sig.head, EquivInHead):
         raise NotEquivHead("expand_equiv requires an EquivIn head")
-    base_sig = replace(sig, head=Plain(Const(sig.head.base_name)))
-    base = compile_signature(base_sig)
-    target_pattern = Signature(
-        lang=Const(sig.head.target_lang),
-        namespace=Wildcard("N"),
-        class_name=Wildcard("C"),
-        head=Plain(Wildcard("f'")),
-        params_wildcard=True,
-        ret=Wildcard("r"),
+    taken = set(wildcard_labels(sig))
+    n, c, f, r = (Wildcard(_fresh(x, taken, "'")) for x in ("N", "C", "f'", "r"))
+    base = replace(sig, head=Plain(Const(sig.head.base_name)))
+    target = Signature(
+        lang=Const(sig.head.target_lang.lower()), namespace=n, class_name=c,
+        head=Plain(f), params_wildcard=True, ret=r,
     )
-    link = Atom("eq", (Var("f"), Var("f'")))
-    return base, target_pattern, link
+    return base, target
 
 
 def print_term(term: Term, formula: Formula = None) -> str:

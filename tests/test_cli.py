@@ -461,3 +461,46 @@ def test_byte_order_mark_is_dropped_from_stdin():
     assert (code, out.getvalue(), err.getvalue()) == (0, JAVA_MAX + "\n", "")
     # a text stream without a byte buffer
     assert _run(argv, "\ufeff" + JAVA_MAX_RAW + "\n") == (0, JAVA_MAX + "\n", "")
+
+
+_UNK_LANG_EQUIV = "UNK lang Math::EquivIn(max,php)(?) -> r?"
+
+
+@pytest.mark.parametrize("command", ["compile", "query", "equiv"])
+def test_equiv_head_without_a_concrete_language_is_a_diagnostic(
+    kb_path, eq_path, command
+):
+    argv, where = {
+        "compile": (["compile"], "<stdin>"),
+        "query": (["query", _UNK_LANG_EQUIV, "--kb", kb_path], "<query>"),
+        "equiv": (["equiv", _UNK_LANG_EQUIV, "--kb", kb_path, "--eq", eq_path],
+                  "<query>"),
+    }[command]
+    assert _run(argv, _UNK_LANG_EQUIV + "\n") == (
+        1, "", "%s:1: EquivIn requires a concrete source language\n" % where
+    )
+
+
+_PY_BUILTIN_MAX = "python builtin builtin::max(UNK:a,UNK:b) -> UNK"
+
+
+@pytest.mark.parametrize("porcelain", [False, True])
+@pytest.mark.parametrize("query, labels", [
+    # the base's own N and r are kept; the target's get a prime
+    ("java N? Math::EquivIn(max,python)(long:a,long:b) -> r?",
+     ["C=builtin", "N=lang", "N'=builtin", "f'=max", "r=long", "r'=UNK"]),
+    ("java lang Math::EquivIn(max,python)(long:f'?,long:b) -> long",
+     ["C=builtin", "N=builtin", "f'=a", "f''=max", "r=UNK"]),
+], ids=["N-and-r", "f-prime"])
+def test_equiv_target_labels_are_primed_past_the_query_labels(
+    tmp_path, porcelain, query, labels
+):
+    kb_file, links = tmp_path / "kb.txt", tmp_path / "links.txt"
+    kb_file.write_text(JAVA_MAX + "\n" + _PY_BUILTIN_MAX + "\n", encoding="utf-8")
+    links.write_text(
+        "java|lang|Math|max|2\tpython|builtin|builtin|max|2\n", encoding="utf-8"
+    )
+    argv = ["equiv", query, "--kb", str(kb_file), "--eq", str(links)]
+    sep = "\t" if porcelain else "\n"
+    expected = sep.join([_PY_BUILTIN_MAX] + labels) + "\n"
+    assert _run(argv + ["--porcelain"] * porcelain) == (0, expected, "")

@@ -17,16 +17,18 @@ from siglogic.kb import (
     ns_skolem,
     reconstruct_signature,
 )
-from siglogic.logic import NotEquivHead, UnsupportedHead
+from siglogic.logic import NotEquivHead, UnsupportedHead, expand_equiv
 from siglogic.model import (
     UNK,
     Const,
+    EquivIn,
     FunctionKey,
     NotGround,
     Param,
     Plain,
     Signature,
     Wildcard,
+    wildcard_labels,
 )
 
 from conftest import (
@@ -37,6 +39,8 @@ from conftest import (
     KEY_SHIFT_JAVA,
     PHP_MAX,
     PY_MAX,
+    SHIFT_HASKELL,
+    SHIFT_JAVA,
     WILDCARD_QUERY,
 )
 
@@ -279,6 +283,23 @@ def test_equiv_closure_reaches_indirect_links(full_store, shift_eqs):
     assert {b.key for b in results} == {KEY_SHIFT_CLOJURE}
 
 
+def test_equiv_target_lang_matches_a_stored_tag_exactly():
+    # the target language is lowercased, as the CLI stores every tag: a
+    # member ingested through the library with an upper-case tag is missed
+    store = FactStore()
+    _ingest(store, SHIFT_JAVA)
+    _ingest(store, SHIFT_HASKELL.replace("haskell", "Haskell", 1))
+    eqs = EquivStore()
+    eqs.add_eq(
+        KEY_SHIFT_JAVA,
+        FunctionKey("Haskell", "Data.Bits", "builtin", "shiftL", 2),
+    )
+    query = parse_signature(
+        "java java.math BigInteger::EquivIn(shiftLeft,Haskell)(?) -> s?"
+    )
+    assert answer_equiv(store, eqs, query) == set()
+
+
 def test_answer_equiv_requires_equiv_head(full_store, shift_eqs):
     with pytest.raises(NotEquivHead):
         answer_equiv(full_store, shift_eqs, parse_signature(JAVA_MAX))
@@ -467,6 +488,104 @@ def test_monotonicity_under_unrelated_additions():
             pass
     for q, prev in zip(queries, before):
         assert prev <= answer(store, q)
+
+
+# the labels of an EquivIn query's target pattern, and a primed one
+TARGET_LABELS = ["N", "C", "f'", "r", "N'"]
+
+
+def random_equiv_query(rng, stored):
+    """A mutated stored signature under an EquivIn head.
+
+    Its language stays concrete, as an EquivIn head requires; some slots
+    take a target pattern's labels, and the target language is a random
+    one, often the source's own, in random case.
+    """
+    plain = random_query(rng, stored)
+    lang = plain.lang if isinstance(plain.lang, Const) else _tok(rng, LANGS)
+    name = plain.head.name_slot
+    base_name = name.token if isinstance(name, Const) else rng.choice(NAMES)
+    target_lang = "".join(
+        c.upper() if rng.random() < 0.3 else c
+        for c in rng.choice(LANGS + [lang.token] * 2)
+    )
+
+    def relabel(slot):
+        if rng.random() < 0.3:
+            return Wildcard(rng.choice(TARGET_LABELS))
+        return slot
+
+    return Signature(
+        lang=lang,
+        namespace=relabel(plain.namespace),
+        class_name=relabel(plain.class_name),
+        head=EquivIn(base_name, target_lang),
+        params=tuple(
+            Param(p.type_slot, relabel(p.name_slot), p.position)
+            for p in plain.params
+        ),
+        params_wildcard=plain.params_wildcard,
+        vararg=plain.vararg,
+        ret=relabel(plain.ret),
+    )
+
+
+def brute_force_answer_equiv(store, eqs, query):
+    """Oracle for answer_equiv(): the oracle's answers to the two plain
+    queries, joined through EquivStore.equivalent."""
+    base, target = expand_equiv(query)
+    sources = brute_force_answer(store, base)
+    if not sources:
+        raise SourceNotFound(query.head.base_name)
+    return {
+        Binding(t.key, s.items + t.items)
+        for s in sources
+        for t in brute_force_answer(store, target)
+        if eqs.equivalent(s.key, t.key)
+    }
+
+
+def test_answer_equiv_agrees_with_brute_force_randomized():
+    rng = random.Random(20261018)
+    store, stored = FactStore(), []
+    while len(stored) < 150:
+        sig = random_ground_signature(rng)
+        try:
+            ingest_signature(store, sig)
+        except KeyConflict:
+            continue
+        stored.append(sig)
+    keys = list(store.keys)
+    eqs = EquivStore()
+    for _ in range(120):
+        eqs.add_eq(rng.choice(keys), rng.choice(keys))
+    # links may name functions the KB does not hold
+    eqs.add_eq(rng.choice(keys), FunctionKey("java", "lang", "Gone", "max", 1))
+
+    seen = set()
+    for _ in range(80):
+        query = random_equiv_query(rng, stored)
+        try:
+            expected = brute_force_answer_equiv(store, eqs, query)
+        except SourceNotFound:
+            with pytest.raises(SourceNotFound):
+                answer_equiv(store, eqs, query)
+            seen.add("no source")
+            continue
+        assert answer_equiv(store, eqs, query) == expected, print_signature(query)
+        if expected:
+            target_lang = query.head.target_lang
+            seen.add("answered")
+            if set(wildcard_labels(query)) & set(TARGET_LABELS):
+                seen.add("colliding labels")
+            if target_lang != target_lang.lower():
+                seen.add("mixed-case target")
+            if target_lang.lower() == query.lang.token:
+                seen.add("same-language target")
+    assert seen == {
+        "no source", "answered", "colliding labels", "mixed-case target",
+        "same-language target",
+    }
 
 
 def test_binding_soundness(max_store):

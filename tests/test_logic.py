@@ -162,21 +162,30 @@ def test_expand_equiv_parts():
         "java java.math BigInteger::EquivIn(shiftLeft,haskell)"
         "(long:a,long:b) -> long"
     )
-    base, target, link = expand_equiv(sig)
+    base, target = expand_equiv(sig)
     plain = parse_signature(
         "java java.math BigInteger::shiftLeft(long:a,long:b) -> long"
     )
-    assert alpha_eq(base, compile_signature(plain))
+    assert base == plain
     assert target.lang.token == "haskell"
     assert target.params_wildcard
     assert target.head == Plain(Wildcard("f'"))
-    assert link == Atom("eq", (Var("f"), Var("f'")))
+    assert target == parse_signature("haskell N? C?::f'?(?) -> r?")
 
 
 def test_expand_equiv_same_language_target():
     sig = parse_signature("java lang Math::EquivIn(max,java)(?) -> r?")
-    base, target, link = expand_equiv(sig)
+    base, target = expand_equiv(sig)
     assert target.lang.token == "java"
+
+
+def test_expand_equiv_primes_colliding_target_labels():
+    # the target language is lowercased, as every KB stores it
+    sig = parse_signature(
+        "java N? C'?::EquivIn(max,Python)(long:f'?,long:C?) -> r?"
+    )
+    _, target = expand_equiv(sig)
+    assert target == parse_signature("python N'? C''?::f''?(?) -> r'?")
 
 
 def test_expand_equiv_requires_equiv_head():
