@@ -32,8 +32,10 @@ import shutil
 import sys
 
 from . import dsl, kb, logic, normalizer
-from .model import FunctionKey, ModelError
+from .model import FunctionKey
 from .normalizer import Dialect
+
+_INPUT_ERRORS = (ValueError, kb.SourceNotFound)  # all siglogic input errors
 
 
 class _LineError(Exception):
@@ -163,25 +165,20 @@ def _normalize_line(path, lineno, line, dialect, lang):
         )
     try:
         return normalizer.normalize(raw, dia, tag or None)
-    except (normalizer.DialectParseError,
-            normalizer.NotGroundAfterNormalize,
-            ModelError, ValueError) as e:
+    except _INPUT_ERRORS as e:
         raise _LineError(path, lineno, str(e))
 
 
 def _load_kb(path, text) -> kb.FactStore:
     store = kb.FactStore()
     for lineno, line in _lines(text):
-        sig = _normalize_line(path, lineno, line, Dialect.NORMALIZED, None)
-        _ingest_line(store, path, lineno, sig)
+        try:
+            kb.ingest_signature(
+                store, normalizer.normalize(line, Dialect.NORMALIZED)
+            )
+        except _INPUT_ERRORS as e:
+            raise _LineError(path, lineno, str(e))
     return store
-
-
-def _ingest_line(store, path, lineno, sig) -> int:
-    try:
-        return kb.ingest_signature(store, sig)
-    except kb.KeyConflict as e:
-        raise _LineError(path, lineno, str(e))
 
 
 def _write_atomically(path, text):
@@ -216,7 +213,7 @@ def _parse_key(text, path, lineno) -> FunctionKey:
         return FunctionKey(
             fields[0].lower(), fields[1], fields[2], fields[3], int(arity)
         )
-    except ModelError as e:
+    except _INPUT_ERRORS as e:
         raise _LineError(path, lineno, str(e))
 
 
@@ -235,10 +232,7 @@ def _load_eq(path) -> kb.EquivStore:
 
 def _parse_query(text):
     """The query's signature, its language lowercased like the KB's."""
-    try:
-        return normalizer.lowercase_lang(dsl.parse_signature(text))
-    except (dsl.ParseError, ModelError) as e:
-        raise _LineError("<query>", 1, str(e))
+    return normalizer.lowercase_lang(dsl.parse_signature(text))
 
 
 def _print_results(store, results, porcelain, out):
@@ -284,7 +278,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 try:
                     sig = dsl.parse_signature(line)
                     formula = logic.compile_signature(sig)
-                except (dsl.ParseError, logic.LogicError, ModelError) as e:
+                except _INPUT_ERRORS as e:
                     raise _LineError(path, lineno, str(e))
                 print(logic.print_formula(formula), file=out)
 
@@ -300,7 +294,10 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             new_facts = 0
             new_sigs = []
             for path, lineno, sig in entries:
-                added = _ingest_line(store, path, lineno, sig)
+                try:
+                    added = kb.ingest_signature(store, sig)
+                except _INPUT_ERRORS as e:
+                    raise _LineError(path, lineno, str(e))
                 if added:
                     new_sigs.append(sig)
                 new_facts += added
@@ -315,20 +312,18 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
         elif args.command == "query":
             store = _load_kb(args.kb, _read(args.kb))
-            query = _parse_query(args.query)
             try:
-                results = kb.answer(store, query)
-            except logic.UnsupportedHead as e:
+                results = kb.answer(store, _parse_query(args.query))
+            except _INPUT_ERRORS as e:
                 raise _LineError("<query>", 1, str(e))
             _print_results(store, results, args.porcelain, out)
 
         elif args.command == "equiv":
             store = _load_kb(args.kb, _read(args.kb))
             eqs = _load_eq(args.eq)
-            query = _parse_query(args.query)
             try:
-                results = kb.answer_equiv(store, eqs, query)
-            except (kb.SourceNotFound, logic.NotEquivHead) as e:
+                results = kb.answer_equiv(store, eqs, _parse_query(args.query))
+            except _INPUT_ERRORS as e:
                 raise _LineError("<query>", 1, str(e))
             _print_results(store, results, args.porcelain, out)
 

@@ -185,42 +185,34 @@ def reconstruct_signature(store: FactStore, key: FunctionKey) -> Signature:
 
 
 class EquivStore:
-    """Union-find over FunctionKeys; holds cross-language `eq` knowledge.
+    """Cross-language `eq` knowledge: classes of equivalent FunctionKeys.
 
-    Each root keeps the list of its class's members; `add_eq` links the
-    smaller class under the larger (union by size), so `class_of` reads
-    one list instead of scanning every key.
+    Each linked key maps to the one list of its class's members, shared by
+    every member; `add_eq` moves the smaller class into the larger (union
+    by size), so a key moves O(log n) times.  A key never linked is a
+    class of its own and is not stored; reads store nothing.
     """
 
     def __init__(self):
-        self._parent = {}
-        self._members = {}  # root -> every key in its class
-
-    def _find(self, key: FunctionKey) -> FunctionKey:
-        if key not in self._parent:
-            self._parent[key] = key
-            self._members[key] = [key]
-        root = key
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[key] != root:  # path compression
-            self._parent[key], key = root, self._parent[key]
-        return root
+        self._class = {}  # linked key -> the shared list of its class
 
     def add_eq(self, a: FunctionKey, b: FunctionKey):
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
+        big = self._class.setdefault(a, [a])
+        small = self._class.setdefault(b, [b])
+        if big is small:
             return
-        if len(self._members[ra]) < len(self._members[rb]):
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._members[ra] += self._members.pop(rb)
+        if len(big) < len(small):
+            big, small = small, big
+        big += small
+        for key in small:
+            self._class[key] = big
 
     def equivalent(self, a: FunctionKey, b: FunctionKey) -> bool:
-        return a == b or self._find(a) == self._find(b)
+        members = self._class.get(a)
+        return a == b or (members is not None and members is self._class.get(b))
 
     def class_of(self, key: FunctionKey) -> frozenset:
-        return frozenset(self._members[self._find(key)])
+        return frozenset(self._class.get(key, (key,)))
 
 
 def _unify(query: Term, fact: Term, binds: dict, formula: Formula):

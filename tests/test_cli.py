@@ -1,10 +1,17 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import siglogic
 from siglogic.cli import run
+from siglogic.dsl import parse_signature
+from siglogic.logic import compile_signature, print_formula
 
 from conftest import (
     ALL_FIXTURE_SIGS,
@@ -82,6 +89,27 @@ def test_compile_command():
     assert code == 0
     assert out.startswith("lam x1 . lam x2 . ex v . ex f . ex n . ex c . fun(f,max)")
     assert out.count("\n") == 1
+
+
+def _run_script(argv, stdin_text):
+    """siglogic's console entry point, `cli.main`, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(siglogic.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "siglogic.cli", *argv],
+        input=stdin_text, capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_console_entry_point_exit_codes():
+    formula = print_formula(compile_signature(parse_signature(JAVA_MAX)))
+    assert _run_script(["compile"], JAVA_MAX + "\n") == (0, formula + "\n", "")
+    code, out, err = _run_script(["compile"], "java lang Math::max(long:a,long:b\n")
+    assert (code, out) == (1, "")
+    assert err == "<stdin>:1: at offset 33: expected ')', found end of input\n"
+    code, _, err = _run_script(["frobnicate"], "")
+    assert code == 2
+    assert "invalid choice: 'frobnicate'" in err
 
 
 def test_compile_parse_error_exit_code():

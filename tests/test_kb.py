@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -228,6 +229,23 @@ def test_class_of_equals_brute_scan_on_random_links():
                             reach.add(y)
                             frontier.append(y)
             assert eqs.class_of(key) == reach
+            for other in keys:
+                assert eqs.equivalent(key, other) == (other in reach)
+
+
+def test_equiv_store_reads_store_nothing():
+    eqs = EquivStore()
+    eqs.add_eq(KEY_SHIFT_JAVA, KEY_SHIFT_HASKELL)
+    before = copy.deepcopy(vars(eqs))
+    unlinked = [FunctionKey("java", "ns", "C", "f%d" % i, 0) for i in range(20)]
+    for key in unlinked:
+        assert eqs.class_of(key) == {key}
+        assert not eqs.equivalent(key, KEY_SHIFT_JAVA)
+        assert not eqs.equivalent(KEY_SHIFT_JAVA, key)
+        assert eqs.equivalent(key, key)
+    for a, b in zip(unlinked, unlinked[1:]):
+        assert not eqs.equivalent(a, b)
+    assert vars(eqs) == before
 
 
 def test_equiv_query_finds_target(full_store, shift_eqs):
