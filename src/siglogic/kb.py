@@ -12,15 +12,19 @@ printed line.  A witness is a plain string derived from the function's
 identity (a `str` never equals a `ConstTok`, so a witness cannot pass
 for a token).  Namespace witnesses are shared across functions of the
 same (lang, namespace); class witnesses across (lang, namespace, class).
-Queries are signatures with wildcards, answered by slot-by-slot matching
-against the table.  The backtracking unifier of the query's compiled
-atoms against the facts is kept as the oracle, `brute_force_answer`.
+Queries are signatures with wildcards.  Each is read once into a matcher
+(`_matcher`), run over the table, that checks a stored signature's arity
+and the query's constant slots before it binds any label.  The
+backtracking unifier of the query's compiled atoms against the facts is
+kept as the oracle, `brute_force_answer`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from math import inf
+from operator import attrgetter
 
 from .logic import (
     App,
@@ -36,13 +40,11 @@ from .logic import (
     signature_atoms,
 )
 from .model import (
-    Const,
     EquivIn,
     FunctionKey,
     Signature,
-    Unk,
+    Wildcard,
     function_key,
-    slot_token,
     wildcard_labels,
 )
 
@@ -253,13 +255,15 @@ def _unify(query: Term, fact: Term, binds: dict, formula: Formula):
 def answer(store: FactStore, query: Signature) -> set:
     """All bindings of the query's wildcards against the stored signatures.
 
-    Each stored signature is matched slot by slot against the query.
+    The query is read once into a matcher, which checks each stored
+    signature's arity, then the query's constant slots, then binds labels.
     """
     if isinstance(query.head, EquivIn):
         raise UnsupportedHead("EquivIn queries go through answer_equiv")
+    match = _matcher(query)
     results = set()
     for key, sig in store._sigs.items():
-        binds = _match_signature(query, sig)
+        binds = match(sig)
         if binds is not None:
             results.add(Binding(key, tuple(binds.items())))
     return results
@@ -337,42 +341,43 @@ def _ground_token(term: Term) -> str:
     raise LogicError("wildcard bound to a non-constant term: %r" % (term,))
 
 
-def _match_slot(qslot, token: str, binds: dict):
-    if isinstance(qslot, Const):
-        return binds if qslot.token == token else None
-    if isinstance(qslot, Unk):
-        return binds if token == "UNK" else None
-    bound = binds.get(qslot.label)
-    if bound is None:
-        binds = dict(binds)
-        binds[qslot.label] = token
-        return binds
-    return binds if bound == token else None
+def _matcher(query: Signature):
+    """A function from a stored signature to the bindings of the query's
+    wildcards against it, or None when it does not match.
 
-
-def _match_signature(query: Signature, sig: Signature):
-    binds = {}
+    The query is read once.  Each call compares the arity first, then the
+    query's constant (and UNK) slots, and binds labels only after all of
+    those hold, into one fresh dict.
+    """
     pairs = [
-        (query.lang, slot_token(sig.lang)),
-        (query.namespace, slot_token(sig.namespace)),
-        (query.class_name, slot_token(sig.class_name)),
-        (query.head.name_slot, slot_token(sig.head.name_slot)),
-        (query.ret, slot_token(sig.ret)),
+        (query.lang, attrgetter("lang.token")),
+        (query.namespace, attrgetter("namespace.token")),
+        (query.class_name, attrgetter("class_name.token")),
+        (query.head.name_slot, attrgetter("head.name_slot.token")),
+        (query.ret, attrgetter("ret.token")),
     ]
-    if not query.params_wildcard:
-        if query.vararg:
-            if len(sig.params) < len(query.params):
+    for i, p in enumerate(query.params):
+        pairs.append((p.type_slot, lambda sig, i=i: sig.params[i].type_slot.token))
+        pairs.append((p.name_slot, lambda sig, i=i: sig.params[i].name_slot.token))
+    consts = [(read, s.token) for s, read in pairs if not isinstance(s, Wildcard)]
+    labels = [(read, s.label) for s, read in pairs if isinstance(s, Wildcard)]
+    least = len(query.params)
+    most = inf if query.params_wildcard or query.vararg else least
+
+    def match(sig: Signature):
+        if not least <= len(sig.params) <= most:
+            return None
+        for read, token in consts:
+            if read(sig) != token:
                 return None
-        elif len(sig.params) != len(query.params):
-            return None
-        for qp, sp in zip(query.params, sig.params):
-            pairs.append((qp.type_slot, slot_token(sp.type_slot)))
-            pairs.append((qp.name_slot, slot_token(sp.name_slot)))
-    for qslot, token in pairs:
-        binds = _match_slot(qslot, token, binds)
-        if binds is None:
-            return None
-    return binds
+        binds = {}
+        for read, label in labels:
+            token = read(sig)
+            if binds.setdefault(label, token) != token:
+                return None
+        return binds
+
+    return match
 
 
 def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
@@ -384,13 +389,14 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
         raise SourceNotFound(
             "no ingested function matches %r" % (query.head.base_name,)
         )
+    match = _matcher(target)
     results = set()
     for source in sources:
         for member in eqs.class_of(source.key):
             member_sig = facts._sigs.get(member)
             if member_sig is None:
                 continue
-            binds = _match_signature(target, member_sig)
+            binds = match(member_sig)
             if binds is not None:
                 results.add(Binding(member, source.items + tuple(binds.items())))
     return results

@@ -44,6 +44,8 @@ class Const:
 class Unk:
     """Placeholder for missing information.  Ground, unlike a wildcard."""
 
+    token = "UNK"  # a class attribute, not a field: read like Const.token
+
 
 UNK = Unk()
 
@@ -76,11 +78,9 @@ SlotValue = Const | Unk | Wildcard
 
 def slot_token(slot: SlotValue) -> str:
     """Token-level view of a ground slot (Unk reads as the token UNK)."""
-    if isinstance(slot, Const):
-        return slot.token
-    if isinstance(slot, Unk):
-        return "UNK"
-    raise NotGround("wildcard %s? has no token" % slot.label)
+    if isinstance(slot, Wildcard):
+        raise NotGround("wildcard %s? has no token" % slot.label)
+    return slot.token
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglogic.dsl import parse_signature, print_signature
 from siglogic.kb import (
@@ -29,6 +31,7 @@ from siglogic.model import (
     Plain,
     Signature,
     Wildcard,
+    slot_token,
     wildcard_labels,
 )
 
@@ -44,6 +47,7 @@ from conftest import (
     SHIFT_JAVA,
     WILDCARD_QUERY,
 )
+from strategies import ground_signatures, labels
 
 
 def _ingest(store, text):
@@ -189,6 +193,31 @@ def test_exact_arity_required(full_store):
 def test_vararg_query_is_minimum_arity(full_store):
     results = answer(full_store, parse_signature("java N? C?::f?(t?:p?,...) -> r?"))
     assert {b.key.name for b in results} == {"max", "shiftLeft"}
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        # the constant in the third parameter is read before any label
+        "java N? C?::f?(t?:a?,t?:b?,long:c,...) -> r?",
+        "java N? C?::f?(long:a,u?:b?) -> long",
+        "java N? C?::f?(?) -> long",
+    ],
+)
+def test_arity_is_checked_before_any_parameter_slot(query):
+    store = FactStore()
+    for text in [
+        "java lang Math::f0() -> long",
+        "java lang Math::f1(long:a) -> long",
+        "java lang Math::f2(long:a,int:b) -> long",
+        "java lang Math::f3(long:a,long:b,long:c) -> long",
+        "java lang Math::g3(long:a,long:b,long:c) -> int",
+    ]:
+        _ingest(store, text)
+    query = parse_signature(query)
+    results = answer(store, query)
+    assert results
+    assert results == brute_force_answer(store, query)
 
 
 def test_answer_rejects_equiv_head(max_store):
@@ -484,6 +513,62 @@ def test_answer_agrees_with_brute_force_randomized():
             fast = answer(store, query)
             slow = brute_force_answer(store, query)
             assert fast == slow, print_signature(query)
+
+
+@st.composite
+def stored_and_query(draw):
+    """A few ground signatures, ingested, and a query made from one of them.
+
+    Each slot is kept, made UNK, or replaced by a label from a pool of
+    three, which may be spelled like one of the signature's tokens; the
+    list is sometimes `(?)`, or loses its last parameter and turns vararg.
+    """
+    store, stored = FactStore(), []
+    for sig in draw(st.lists(ground_signatures, min_size=1, max_size=3)):
+        try:
+            ingest_signature(store, sig)
+        except KeyConflict:
+            continue
+        stored.append(sig)
+    base = draw(st.sampled_from(stored))
+    tokens = [slot_token(s) for s in (base.lang, base.head.name_slot, base.ret)]
+    pool = draw(st.lists(labels | st.sampled_from(tokens), min_size=3, max_size=3))
+
+    def mutate(slot):
+        roll = draw(st.integers(0, 2))
+        return slot if roll == 0 else UNK if roll == 1 else Wildcard(
+            draw(st.sampled_from(pool))
+        )
+
+    params = tuple(
+        Param(mutate(p.type_slot), mutate(p.name_slot), p.position)
+        for p in base.params
+    )
+    shape = draw(st.integers(0, 2))
+    params_wildcard = shape == 1
+    vararg = base.vararg
+    if params_wildcard:
+        params, vararg = (), False
+    elif shape == 2 and len(params) > 1:
+        params, vararg = params[:-1], True
+    query = Signature(
+        lang=mutate(base.lang),
+        namespace=mutate(base.namespace),
+        class_name=mutate(base.class_name),
+        head=Plain(mutate(base.head.name_slot)),
+        params=params,
+        params_wildcard=params_wildcard,
+        vararg=vararg,
+        ret=mutate(base.ret),
+    )
+    return store, query
+
+
+@settings(max_examples=100, deadline=None)
+@given(stored_and_query())
+def test_answer_agrees_with_brute_force_on_drawn_spellings(store_and_query):
+    store, query = store_and_query
+    assert answer(store, query) == brute_force_answer(store, query)
 
 
 def test_monotonicity_under_unrelated_additions():
