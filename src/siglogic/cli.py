@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="dialect of all input lines; omit for tab-separated "
                  "`dialect<TAB>lang<TAB>raw` corpus lines",
         )
-        p.add_argument("--lang", help="language tag (required with --dialect)")
+        p.add_argument("--lang", help="language tag of --dialect input")
 
     p = sub.add_parser("normalize", help="normalize raw signatures")
     add_input(p)
@@ -265,6 +265,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         # argparse prints help to sys.stdout and usage errors to sys.stderr
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
+            if getattr(args, "lang", None) is not None and args.dialect is None:
+                parser.error("argument --lang: not allowed without --dialect")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 

@@ -18,7 +18,7 @@ line and every printed ground signature has, is read by one whole-line
 match (`_LINE_RE`).  Any other text (an `EquivIn(` head, a `(?)` list,
 a malformed line) falls back to the scanner, which is also the only
 source of every ParseError.  Both paths share one value per distinct
-token and one frozen Param per distinct (type, name, position).
+token and one frozen Param per distinct (type, name).
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ def _slot(tok: str, mark: str) -> SlotValue:
 
 
 @functools.lru_cache(maxsize=SHARED_CACHE_SIZE)
-def _param(type_tok, type_mark, name_tok, name_mark, position) -> Param:
-    """One shared frozen Param per distinct (type, name, position)."""
-    return Param(_slot(type_tok, type_mark), _slot(name_tok, name_mark), position)
+def _param(type_tok, type_mark, name_tok, name_mark) -> Param:
+    """One shared frozen Param per distinct (type, name)."""
+    return Param(_slot(type_tok, type_mark), _slot(name_tok, name_mark))
 
 
 def parse_signature(text: str) -> Signature:
@@ -156,7 +156,7 @@ def parse_signature(text: str) -> Signature:
         namespace=_slot(g[2], g[3]),
         class_name=_slot(g[4], g[5]),
         head=Plain(_slot(g[6], g[7])),
-        params=tuple(_param(*p.groups(), i) for i, p in enumerate(params, 1)),
+        params=tuple(_param(*p.groups()) for p in params),
         vararg=g[9] is not None,
         ret=_slot(g[10], g[11]),
     )
@@ -193,7 +193,7 @@ def _scan_signature(text: str) -> Signature:
         if s.peek() == ",":
             raise MixedWildcardParams(s.pos)
     elif s.peek() != ")":
-        params.append(_scan_param(s, len(params) + 1))
+        params.append(_scan_param(s))
         while True:
             s.skip_ws()
             if s.peek() != ",":
@@ -206,7 +206,7 @@ def _scan_signature(text: str) -> Signature:
                 break
             if s.peek() == "?":
                 raise MixedWildcardParams(s.pos)
-            params.append(_scan_param(s, len(params) + 1))
+            params.append(_scan_param(s))
     s.expect(")")
     s.expect("->")
     ret = s.slot("a return slot")
@@ -225,10 +225,10 @@ def _scan_signature(text: str) -> Signature:
     )
 
 
-def _scan_param(s: _Scanner, position: int) -> Param:
+def _scan_param(s: _Scanner) -> Param:
     type_text = s.slot_text("a parameter type")
     s.expect(":")
-    return _param(*type_text, *s.slot_text("a parameter name"), position)
+    return _param(*type_text, *s.slot_text("a parameter name"))
 
 
 def _slot_str(slot: SlotValue) -> str:

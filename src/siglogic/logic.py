@@ -165,10 +165,10 @@ def signature_atoms(sig: Signature, v, f, n, c, xs,
         atom("namespace", (n, term(sig.namespace))),
         atom("in_namespace", (f, n)),
     ]
-    for p, x in zip(sig.params, xs):
+    for i, (p, x) in enumerate(zip(sig.params, xs), 1):
         atoms.append(atom("var", (x, term(p.name_slot))))
         atoms.append(atom("type", (x, term(p.type_slot))))
-        atoms.append(atom("has_param", (f, x, const(str(p.position)))))
+        atoms.append(atom("has_param", (f, x, const(str(i)))))
     return tuple(atoms)
 
 

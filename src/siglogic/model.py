@@ -87,11 +87,6 @@ def slot_token(slot: SlotValue) -> str:
 class Param:
     type_slot: SlotValue
     name_slot: SlotValue
-    position: int  # 1-based
-
-    def __post_init__(self):
-        if self.position < 1:
-            raise ModelError("param position must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -123,16 +118,13 @@ class Signature:
     namespace: SlotValue
     class_name: SlotValue
     head: FunctionHead
-    params: tuple = field(default=())
+    params: tuple = field(default=())  # Params, numbered 1.. by place
     params_wildcard: bool = False
     vararg: bool = False
     ret: SlotValue = UNK
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
-        for i, p in enumerate(self.params, start=1):
-            if p.position != i:
-                raise ModelError("param positions must be contiguous from 1")
         if self.params_wildcard and (self.params or self.vararg):
             raise ModelError("whole-list wildcard excludes explicit params")
         if self.vararg and not self.params:
@@ -141,7 +133,7 @@ class Signature:
         if isinstance(self.head, EquivIn) and not isinstance(self.lang, Const):
             raise ModelError("EquivIn requires a concrete source language")
         # worked out once: a KB line is checked by normalize and function_key
-        object.__setattr__(self, "_ground", _has_no_wildcard(self))
+        object.__setattr__(self, "_ground", not_ground_reason(self) is None)
 
 
 @dataclass(frozen=True)
@@ -165,18 +157,19 @@ class FunctionKey:
 
 
 def is_ground(sig: Signature) -> bool:
-    """True iff sig contains no wildcard anywhere.  UNK counts as ground."""
+    """True iff sig names its function and has no wildcard; UNK is ground."""
     return sig._ground
 
 
-def _has_no_wildcard(sig: Signature) -> bool:
-    if sig.params_wildcard:
-        return False
-    if not isinstance(sig.head, Plain):
-        return False
-    if not isinstance(sig.head.name_slot, Const):
-        return False
-    return Wildcard not in map(type, _slots(sig))
+def not_ground_reason(sig: Signature) -> str | None:
+    """What keeps sig from being ground, as a clause, or None if it is."""
+    if isinstance(sig.head, EquivIn):
+        return "has an EquivIn head"
+    if isinstance(sig.head.name_slot, Unk):
+        return "names its function UNK"
+    if sig.params_wildcard or Wildcard in map(type, _slots(sig)):
+        return "contains wildcards"
+    return None
 
 
 def function_key(sig: Signature) -> FunctionKey:

@@ -22,11 +22,14 @@ from . import dsl
 from .model import (
     UNK,
     Const,
+    ModelError,
     Param,
     Plain,
     Signature,
     TOKEN_RE,
+    ground_slot,
     is_ground,
+    not_ground_reason,
 )
 
 
@@ -47,7 +50,7 @@ class DialectParseError(ValueError):
 
 
 class NotGroundAfterNormalize(ValueError):
-    """Raw text contained wildcard syntax; wildcards are query-only."""
+    """Input only a query may hold: a wildcard, EquivIn head or UNK name."""
 
 
 def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signature:
@@ -68,7 +71,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
             ) from e
         if not is_ground(sig):
             raise NotGroundAfterNormalize(
-                "normalized input contains wildcards: %r" % (raw,)
+                "normalized input %s: %r" % (not_ground_reason(sig), raw)
             )
         return lowercase_lang(sig)
 
@@ -95,6 +98,8 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
         raise DialectParseError(
             dialect, args_at - 1, "vararg marker requires a preceding parameter"
         )
+    if name[1] == "UNK":  # ground, but a stored signature names its function
+        raise DialectParseError(dialect, name[0], "function name may not be UNK")
     return Signature(
         lang=Const(lang_tag.lower()),
         namespace=_const_tok(ns, dialect),
@@ -205,7 +210,6 @@ def _params_typed(args_text, start, dialect, sigils: bool):
             Param(
                 UNK if type_word is None else _const_tok(type_word, dialect),
                 _const_tok(name_word, dialect),
-                len(params) + 1,
             )
         )
     return params, vararg
@@ -221,17 +225,13 @@ def _params_untyped(args_text, start, dialect):
     for at, name in names:
         if name in _VARARG:
             raise DialectParseError(dialect, at, "vararg marker must be last")
-    params = [
-        Param(UNK, _const_tok(n, dialect), i + 1) for i, n in enumerate(names)
-    ]
-    return params, vararg
+    return [Param(UNK, _const_tok(n, dialect)) for n in names], vararg
 
 
 def _const_tok(word, dialect):
     """The slot value of an (offset, token) word."""
     at, tok = word
-    if tok == "UNK":
-        return UNK
-    if not TOKEN_RE.fullmatch(tok):
-        raise DialectParseError(dialect, at, "invalid token %r" % (tok,))
-    return Const(tok)
+    try:
+        return ground_slot(tok)
+    except ModelError:
+        raise DialectParseError(dialect, at, "invalid token %r" % (tok,)) from None

@@ -23,9 +23,7 @@ slots = st.one_of(st.just(UNK), tokens.map(Const), labels.map(Wildcard))
 
 def _params(slot_strategy):
     return st.lists(st.tuples(slot_strategy, slot_strategy), max_size=4).map(
-        lambda pairs: tuple(
-            Param(t, p, i + 1) for i, (t, p) in enumerate(pairs)
-        )
+        lambda pairs: tuple(Param(t, p) for t, p in pairs)
     )
 
 

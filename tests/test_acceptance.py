@@ -183,8 +183,8 @@ def _rand_signature(rng, ground=False):
     vararg = False
     if not params_wildcard:
         params = tuple(
-            Param(_rand_slot(rng, ground), _rand_slot(rng, ground), j + 1)
-            for j in range(rng.randint(0, 4))
+            Param(_rand_slot(rng, ground), _rand_slot(rng, ground))
+            for _ in range(rng.randint(0, 4))
         )
         vararg = bool(params) and rng.random() < 0.2
     return Signature(

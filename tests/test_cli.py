@@ -262,6 +262,19 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["normalize", "ingest"])
+def test_lang_without_dialect_is_a_usage_error(tmp_path, command):
+    # tab-separated and normalized lines name their own language
+    kb_file = tmp_path / "kb.txt"
+    argv = [command, "--lang", "java"]
+    if command == "ingest":
+        argv += ["--kb", str(kb_file)]
+    code, out, err = _run(argv, JAVA_MAX_RAW + "\n")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --lang: not allowed without --dialect\n")
+    assert not kb_file.exists()
+
+
 def test_usage_error_goes_to_the_given_stderr(capsys):
     code, out, err = _run(["query"])
     assert code == 2
@@ -319,6 +332,30 @@ def test_query_porcelain_prints_vararg_back(kb_path):
     code, out, _ = _run(["query", PHP_MAX_QUERY, "--kb", kb_path, "--porcelain"])
     assert code == 0
     assert out == PHP_MAX + "\tC=builtin\tN=core\tr=mixed\n"
+
+
+@pytest.mark.parametrize("dialect, raw, offset", [
+    ("java", "long UNK(int a)", 5),
+    ("python", "decimal UNK(a)", 8),
+    ("php", "mixed UNK($a)", 6),
+])
+@pytest.mark.parametrize("command", ["normalize", "ingest"])
+def test_raw_function_named_unk_is_a_line_diagnostic(
+    tmp_path, command, dialect, raw, offset
+):
+    # UNK is ground, but a signature with no function name has no identity
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text(JAVA_MAX + "\n", encoding="utf-8")
+    argv = [command, "--dialect", dialect, "--lang", dialect]
+    if command == "ingest":
+        argv += ["--kb", str(kb_file)]
+    code, out, err = _run(argv, raw + "\n")
+    assert (code, out) == (1, "")
+    assert err == (
+        "<stdin>:1: %s dialect, at offset %d: "
+        "function name may not be UNK\n" % (dialect, offset)
+    )
+    assert kb_file.read_text(encoding="utf-8") == JAVA_MAX + "\n"
 
 
 def test_ingest_key_conflict_is_a_line_diagnostic(tmp_path):

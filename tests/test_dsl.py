@@ -26,11 +26,13 @@ from strategies import signatures
 def test_repeated_token_parses_to_one_shared_const():
     sig = parse_signature("java lang Math::max(long:a,long:b) -> long")
     assert sig.params[0].type_slot is sig.params[1].type_slot is sig.ret
-    # one Param per (type, name, position), whether the whole-line match
-    # or the scanner (an EquivIn head) reads it
+    # one Param per (type, name), whether the whole-line match or the
+    # scanner (an EquivIn head) reads it, and at whichever place it stands
     for other in ("php core builtin::min(long:a) -> int",
-                  "java lang Math::EquivIn(max,php)(long:a) -> r?"):
-        assert parse_signature(other).params[0] is sig.params[0]
+                  "php core builtin::min(int:b,long:a) -> int",
+                  "java lang Math::EquivIn(max,php)(long:a) -> r?",
+                  "java lang Math::EquivIn(max,php)(int:b,long:a) -> r?"):
+        assert parse_signature(other).params[-1] is sig.params[0]
 
 
 def test_parse_concrete_signature():
@@ -41,8 +43,8 @@ def test_parse_concrete_signature():
         class_name=Const("Math"),
         head=Plain(Const("max")),
         params=(
-            Param(Const("long"), Const("a"), 1),
-            Param(Const("long"), Const("b"), 2),
+            Param(Const("long"), Const("a")),
+            Param(Const("long"), Const("b")),
         ),
         ret=Const("long"),
     )
@@ -54,8 +56,8 @@ def test_parse_wildcard_query():
     assert sig.class_name == Wildcard("C")
     assert sig.head == Plain(Wildcard("f"))
     assert sig.params == (
-        Param(Const("long"), Const("a"), 1),
-        Param(Const("long"), Wildcard("p"), 2),
+        Param(Const("long"), Const("a")),
+        Param(Const("long"), Wildcard("p")),
     )
     assert sig.ret == Const("long")
 

@@ -390,8 +390,8 @@ def test_fact_count_closed_form_matches_derived_facts():
                     class_name=Const(rng.choice(dotted)),
                     head=Plain(Const(rng.choice(dotted))),
                     params=tuple(
-                        Param(_tok(rng, TYPES), Const(rng.choice(dotted)), j + 1)
-                        for j in range(rng.randint(0, 3))
+                        Param(_tok(rng, TYPES), Const(rng.choice(dotted)))
+                        for _ in range(rng.randint(0, 3))
                     ),
                     ret=_tok(rng, TYPES),
                 )
@@ -430,8 +430,8 @@ PARAM_NAMES = ["a", "b", "n", "x"]
 def random_ground_signature(rng):
     arity = rng.randint(0, 3)
     params = tuple(
-        Param(_tok(rng, TYPES), _tok(rng, PARAM_NAMES), j + 1)
-        for j in range(arity)
+        Param(_tok(rng, TYPES), _tok(rng, PARAM_NAMES))
+        for _ in range(arity)
     )
     return Signature(
         lang=_tok(rng, LANGS),
@@ -472,14 +472,11 @@ def random_query(rng, stored):
     vararg = False
     if not params_wildcard:
         params = tuple(
-            Param(mutate(p.type_slot), mutate(p.name_slot), p.position)
+            Param(mutate(p.type_slot), mutate(p.name_slot))
             for p in base.params
         )
         if rng.random() < 0.2 and len(params) > 1:
-            params = tuple(
-                Param(p.type_slot, p.name_slot, p.position)
-                for p in params[:-1]
-            )
+            params = params[:-1]
             vararg = True
         elif params and rng.random() < 0.1:
             vararg = True
@@ -541,7 +538,7 @@ def stored_and_query(draw):
         )
 
     params = tuple(
-        Param(mutate(p.type_slot), mutate(p.name_slot), p.position)
+        Param(mutate(p.type_slot), mutate(p.name_slot))
         for p in base.params
     )
     shape = draw(st.integers(0, 2))
@@ -624,7 +621,7 @@ def random_equiv_query(rng, stored):
         class_name=relabel(plain.class_name),
         head=EquivIn(base_name, target_lang),
         params=tuple(
-            Param(p.type_slot, relabel(p.name_slot), p.position)
+            Param(p.type_slot, relabel(p.name_slot))
             for p in plain.params
         ),
         params_wildcard=plain.params_wildcard,
@@ -708,7 +705,7 @@ def test_binding_soundness(max_store):
             class_name=subst(query.class_name),
             head=Plain(subst(query.head.name_slot)),
             params=tuple(
-                Param(subst(p.type_slot), subst(p.name_slot), p.position)
+                Param(subst(p.type_slot), subst(p.name_slot))
                 for p in query.params
             ),
             ret=subst(query.ret),
@@ -739,8 +736,8 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
             class_name=Const(rng.choice(dotted)),
             head=Plain(Const(rng.choice(NAMES + dotted))),
             params=tuple(
-                Param(_tok(rng, TYPES), _tok(rng, PARAM_NAMES + ["UNK"]), j)
-                for j in range(1, arity + 1)
+                Param(_tok(rng, TYPES), _tok(rng, PARAM_NAMES + ["UNK"]))
+                for _ in range(arity)
             ),
             vararg=arity > 0 and rng.random() < 0.3,
             ret=_tok(rng, TYPES),

@@ -37,17 +37,6 @@ def test_unk_is_not_a_const():
     assert UNK == UNK
 
 
-def test_param_positions_contiguous():
-    with pytest.raises(ModelError):
-        Signature(
-            lang=Const("java"),
-            namespace=Const("lang"),
-            class_name=Const("Math"),
-            head=Plain(Const("max")),
-            params=(Param(Const("long"), Const("a"), 2),),
-        )
-
-
 def test_params_wildcard_excludes_params():
     with pytest.raises(ModelError):
         Signature(
@@ -55,7 +44,7 @@ def test_params_wildcard_excludes_params():
             namespace=Const("lang"),
             class_name=Const("Math"),
             head=Plain(Const("max")),
-            params=(Param(Const("long"), Const("a"), 1),),
+            params=(Param(Const("long"), Const("a")),),
             params_wildcard=True,
         )
 

@@ -90,6 +90,17 @@ def test_wildcards_in_raw_text_rejected():
         normalize("java N? C?::f?(?) -> r?", Dialect.NORMALIZED, "java")
 
 
+@pytest.mark.parametrize("text, cause", [
+    ("java N? C?::f?(?) -> r?", "contains wildcards"),
+    ("java lang Math::UNK(long:a) -> long", "names its function UNK"),
+    ("java lang Math::EquivIn(max,php)(long:a) -> long", "has an EquivIn head"),
+], ids=["wildcards", "unk-name", "equivin-head"])
+def test_not_ground_error_names_its_cause(text, cause):
+    with pytest.raises(NotGroundAfterNormalize) as e:
+        normalize(text, Dialect.NORMALIZED)
+    assert str(e.value) == "normalized input %s: %r" % (cause, text)
+
+
 def test_dialect_parse_errors_carry_position_and_dialect():
     with pytest.raises(DialectParseError) as e:
         normalize("lang Math long max long a", Dialect.JAVA, "java")
