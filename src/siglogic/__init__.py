@@ -15,7 +15,6 @@ from .model import (
     Param,
     Plain,
     Signature,
-    Unk,
     Wildcard,
     function_key,
     is_ground,
@@ -67,7 +66,6 @@ __all__ = [
     "Param",
     "Plain",
     "Signature",
-    "Unk",
     "Wildcard",
     "function_key",
     "is_ground",

@@ -32,7 +32,7 @@ import shutil
 import sys
 
 from . import dsl, kb, logic, normalizer
-from .model import FunctionKey
+from .model import FunctionKey, lang_token
 from .normalizer import Dialect
 
 _INPUT_ERRORS = (ValueError, kb.SourceNotFound)  # all siglogic input errors
@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="dialect of all input lines; omit for tab-separated "
                  "`dialect<TAB>lang<TAB>raw` corpus lines",
         )
-        p.add_argument("--lang", help="language tag of --dialect input")
+        p.add_argument("--lang", help="language tag of raw --dialect input")
+        p.set_defaults(subparser=p)  # reports a bad --dialect/--lang pair
 
     p = sub.add_parser("normalize", help="normalize raw signatures")
     add_input(p)
@@ -135,6 +136,15 @@ def _input_lines(paths, stdin):
             yield path, lineno, line
 
 
+def _check_lang(args):
+    """A usage error unless --lang comes with a raw --dialect, and only then."""
+    raw = args.dialect not in (None, Dialect.NORMALIZED.value)
+    if raw != (args.lang is not None):
+        where = "with --dialect " + args.dialect if args.dialect else "without --dialect"
+        args.subparser.error("argument --lang: %s %s" % (
+            "required" if raw else "not allowed", where))
+
+
 def _input_sigs(args, stdin):
     """(path, lineno, sig) for each non-blank input line, normalized."""
     dialect = args.dialect and Dialect(args.dialect)
@@ -159,10 +169,6 @@ def _normalize_line(path, lineno, line, dialect, lang):
             raise _LineError(path, lineno, "unknown dialect %r" % dia_name)
     else:
         raw, dia, tag = line, Dialect.NORMALIZED, None
-    if dia is not Dialect.NORMALIZED and not tag:
-        raise _LineError(
-            path, lineno, "--lang is required for the %s dialect" % dia.value
-        )
     try:
         return normalizer.normalize(raw, dia, tag or None)
     except _INPUT_ERRORS as e:
@@ -211,7 +217,7 @@ def _parse_key(text, path, lineno) -> FunctionKey:
         raise _LineError(path, lineno, "invalid arity %r" % arity)
     try:
         return FunctionKey(
-            fields[0].lower(), fields[1], fields[2], fields[3], int(arity)
+            lang_token(fields[0]), fields[1], fields[2], fields[3], int(arity)
         )
     except _INPUT_ERRORS as e:
         raise _LineError(path, lineno, str(e))
@@ -265,8 +271,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         # argparse prints help to sys.stdout and usage errors to sys.stderr
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
-            if getattr(args, "lang", None) is not None and args.dialect is None:
-                parser.error("argument --lang: not allowed without --dialect")
+            if "dialect" in args:
+                _check_lang(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 

@@ -6,7 +6,7 @@ Grammar (whitespace between top-level tokens is insignificant):
     head        = slot | "EquivIn(" token "," token ")"
     paramspec   = "?" | [ param { "," param } [ ",..." ] ]
     param       = slot ":" slot
-    slot        = token | ident "?" | "UNK"
+    slot        = token | ident "?"
     token,ident = [A-Za-z0-9._$'-]+
 
 The printer emits the canonical form: single spaces between the three
@@ -27,17 +27,14 @@ import functools
 import re
 
 from .model import (
-    Const,
     EquivIn,
     Param,
     Plain,
-    SHARED_CACHE_SIZE,
     Signature,
     SlotValue,
     TOKEN_RE,
     Wildcard,
     ground_slot,
-    slot_token,
 )
 
 
@@ -139,7 +136,7 @@ def _slot(tok: str, mark: str) -> SlotValue:
     return Wildcard(tok) if mark else ground_slot(tok)
 
 
-@functools.lru_cache(maxsize=SHARED_CACHE_SIZE)
+@functools.cache
 def _param(type_tok, type_mark, name_tok, name_mark) -> Param:
     """One shared frozen Param per distinct (type, name)."""
     return Param(_slot(type_tok, type_mark), _slot(name_tok, name_mark))
@@ -171,7 +168,7 @@ def _scan_signature(text: str) -> Signature:
 
     # Head: `EquivIn(` wins over a function literally named EquivIn.
     name = s.slot("a function head")
-    if name == Const("EquivIn") and s.peek() == "(":
+    if name == ground_slot("EquivIn") and s.peek() == "(":
         s.expect("(")
         base = s.token("a base function name")
         s.expect(",")
@@ -232,7 +229,7 @@ def _scan_param(s: _Scanner) -> Param:
 
 
 def _slot_str(slot: SlotValue) -> str:
-    return slot.label + "?" if isinstance(slot, Wildcard) else slot_token(slot)
+    return slot.label + "?" if isinstance(slot, Wildcard) else slot.token
 
 
 def print_signature(sig: Signature) -> str:

@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .model import (
-    Const,
     EquivIn as EquivInHead,
     Plain,
     Signature,
     Wildcard,
-    slot_token,
+    ground_slot,
+    lang_token,
     wildcard_labels,
 )
 
@@ -152,7 +152,7 @@ def signature_atoms(sig: Signature, v, f, n, c, xs,
     def term(slot):
         if isinstance(slot, Wildcard):
             return Var(slot.label)
-        return const(slot_token(slot))
+        return const(slot.token)
 
     fname = term(sig.head.name_slot)
     atoms = [
@@ -264,19 +264,19 @@ def expand_equiv(sig: Signature):
     """An EquivIn query's two plain queries, (base, target).
 
     `base` is sig under the plain base name; `target` is
-    `<target_lang> N? C?::f'?(?) -> r?`, its language lowercased as every
-    KB stores it.  A target label sig already uses gets primes until it is
-    fresh (`N'`, `f''`).  The EquivStore links a target answer to a base
-    answer.
+    `<target_lang> N? C?::f'?(?) -> r?`, its language as every KB stores
+    it (`lang_token`).  A target label sig already uses gets primes until
+    it is fresh (`N'`, `f''`).  The EquivStore links a target answer to a
+    base answer.
     """
     if not isinstance(sig.head, EquivInHead):
         raise NotEquivHead("expand_equiv requires an EquivIn head")
     taken = set(wildcard_labels(sig))
     n, c, f, r = (Wildcard(_fresh(x, taken, "'")) for x in ("N", "C", "f'", "r"))
-    base = replace(sig, head=Plain(Const(sig.head.base_name)))
+    base = replace(sig, head=Plain(ground_slot(sig.head.base_name)))
     target = Signature(
-        lang=Const(sig.head.target_lang.lower()), namespace=n, class_name=c,
-        head=Plain(f), params_wildcard=True, ret=r,
+        lang=ground_slot(lang_token(sig.head.target_lang)), namespace=n,
+        class_name=c, head=Plain(f), params_wildcard=True, ret=r,
     )
     return base, target
 

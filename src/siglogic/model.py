@@ -2,9 +2,9 @@
 
 A signature describes one function: the language it comes from, its
 namespace and class, the function name, an ordered list of typed named
-parameters, and a return slot.  Any slot may be a concrete token, the
-placeholder ``UNK`` (information known to be missing), or a query-side
-wildcard ``label?``.
+parameters, and a return slot.  Any slot may be a concrete token or a
+query-side wildcard ``label?``; the token ``UNK`` marks information known
+to be missing, and is ground like any other.
 """
 
 from __future__ import annotations
@@ -28,36 +28,27 @@ class NotGround(ModelError):
 
 @dataclass(frozen=True)
 class Const:
-    """A concrete token in a slot (type name, identifier, language tag...)."""
+    """A concrete token in a slot: a type, a name, a language tag, or UNK."""
 
     token: str
 
     def __post_init__(self):
         if not TOKEN_RE.fullmatch(self.token):
             raise ModelError("invalid constant token: %r" % (self.token,))
-        if self.token == "UNK":
-            # UNK has its own model value so that print/parse stay bijective.
-            raise ModelError("use Unk, not Const('UNK')")
 
 
-@dataclass(frozen=True)
-class Unk:
-    """Placeholder for missing information.  Ground, unlike a wildcard."""
-
-    token = "UNK"  # a class attribute, not a field: read like Const.token
-
-
-UNK = Unk()
-
-# Distinct tokens and parameters kept shared: a 3k-line KB has under a
-# thousand tokens, and even a 100k-line one under 500 parameters.
-SHARED_CACHE_SIZE = 4096
+@functools.cache  # a KB keeps each of its distinct tokens alive anyway
+def ground_slot(tok: str) -> Const:
+    """One shared Const per distinct token."""
+    return Const(tok)
 
 
-@functools.lru_cache(maxsize=SHARED_CACHE_SIZE)
-def ground_slot(tok: str) -> SlotValue:
-    """One shared value per distinct token (UNK or a frozen Const)."""
-    return UNK if tok == "UNK" else Const(tok)
+UNK = ground_slot("UNK")
+
+
+def lang_token(tok: str) -> str:
+    """A language tag as every KB stores it: lowercased, unless it is UNK."""
+    return tok if tok == "UNK" else tok.lower()
 
 
 @dataclass(frozen=True)
@@ -73,14 +64,7 @@ class Wildcard:
 
 # `|` unions, not typing.Union: typing caches each Union it builds, which
 # keeps a re-imported module alive, shared-value caches included.
-SlotValue = Const | Unk | Wildcard
-
-
-def slot_token(slot: SlotValue) -> str:
-    """Token-level view of a ground slot (Unk reads as the token UNK)."""
-    if isinstance(slot, Wildcard):
-        raise NotGround("wildcard %s? has no token" % slot.label)
-    return slot.token
+SlotValue = Const | Wildcard
 
 
 @dataclass(frozen=True)
@@ -130,7 +114,9 @@ class Signature:
         if self.vararg and not self.params:
             # the concrete syntax only admits `,...` after at least one param
             raise ModelError("vararg requires at least one explicit param")
-        if isinstance(self.head, EquivIn) and not isinstance(self.lang, Const):
+        if isinstance(self.head, EquivIn) and (
+            isinstance(self.lang, Wildcard) or self.lang == UNK
+        ):
             raise ModelError("EquivIn requires a concrete source language")
         # worked out once: a KB line is checked by normalize and function_key
         object.__setattr__(self, "_ground", not_ground_reason(self) is None)
@@ -165,7 +151,7 @@ def not_ground_reason(sig: Signature) -> str | None:
     """What keeps sig from being ground, as a clause, or None if it is."""
     if isinstance(sig.head, EquivIn):
         return "has an EquivIn head"
-    if isinstance(sig.head.name_slot, Unk):
+    if sig.head.name_slot == UNK:
         return "names its function UNK"
     if sig.params_wildcard or Wildcard in map(type, _slots(sig)):
         return "contains wildcards"
@@ -177,10 +163,10 @@ def function_key(sig: Signature) -> FunctionKey:
     if not is_ground(sig):
         raise NotGround("function_key requires a ground signature")
     return FunctionKey(
-        lang=slot_token(sig.lang),
-        namespace=slot_token(sig.namespace),
-        class_name=slot_token(sig.class_name),
-        name=slot_token(sig.head.name_slot),
+        lang=sig.lang.token,
+        namespace=sig.namespace.token,
+        class_name=sig.class_name.token,
+        name=sig.head.name_slot.token,
         arity=len(sig.params),
     )
 

@@ -8,8 +8,8 @@ were lifted from, plus a pass-through for already-normalized text:
     php     mixed max(mixed $value1, mixed $value2, ..)
 
 Missing information is filled with defaults: namespace -> core,
-class -> builtin, types and return -> UNK.  Language tags are lowercased
-so cross-language joins compare reliably.
+class -> builtin, types and return -> UNK.  Language tags are lowercased,
+all but UNK (`model.lang_token`), so cross-language joins compare reliably.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .model import (
     TOKEN_RE,
     ground_slot,
     is_ground,
+    lang_token,
     not_ground_reason,
 )
 
@@ -101,7 +102,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
     if name[1] == "UNK":  # ground, but a stored signature names its function
         raise DialectParseError(dialect, name[0], "function name may not be UNK")
     return Signature(
-        lang=Const(lang_tag.lower()),
+        lang=ground_slot(lang_token(lang_tag)),
         namespace=_const_tok(ns, dialect),
         class_name=_const_tok(cls, dialect),
         head=Plain(_const_tok(name, dialect)),
@@ -112,10 +113,10 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
 
 
 def lowercase_lang(sig: Signature) -> Signature:
-    """sig with its language tag lowercased, as every KB stores it."""
+    """sig with its language tag as every KB stores it (`lang_token`)."""
     lang = sig.lang
-    if isinstance(lang, Const) and lang.token != lang.token.lower():
-        sig = dataclasses.replace(sig, lang=Const(lang.token.lower()))
+    if isinstance(lang, Const) and lang.token != lang_token(lang.token):
+        sig = dataclasses.replace(sig, lang=ground_slot(lang_token(lang.token)))
     return sig
 
 

@@ -204,6 +204,18 @@ def test_links_arity_is_plain_digits(kb_path, tmp_path, arity):
     assert err == "%s:1: invalid arity %r\n" % (links, arity)
 
 
+@pytest.mark.parametrize("key, error", [
+    ("java|lang|Math|max", "expected `lang|ns|class|name|arity`"),
+    ("java|la ng|Math|max|2", "invalid key token: 'la ng'"),
+], ids=["four-fields", "bad-token"])
+def test_bad_links_key_is_a_line_diagnostic(kb_path, tmp_path, key, error):
+    links = tmp_path / "links.txt"
+    links.write_text(key + "\tpython|decimal|Context|max|2\n", encoding="utf-8")
+    code, out, err = _run(["equiv", "java lang Math::EquivIn(max,python)(?) -> r?",
+                           "--kb", kb_path, "--eq", str(links)])
+    assert (code, out, err) == (1, "", "%s:1: %s\n" % (links, error))
+
+
 @pytest.fixture
 def compile_calls(monkeypatch):
     """Signatures the KB lays out as atoms, counted at
@@ -271,8 +283,45 @@ def test_lang_without_dialect_is_a_usage_error(tmp_path, command):
         argv += ["--kb", str(kb_file)]
     code, out, err = _run(argv, JAVA_MAX_RAW + "\n")
     assert (code, out) == (2, "")
+    assert err.startswith("usage: siglogic %s " % command)
     assert err.endswith("error: argument --lang: not allowed without --dialect\n")
     assert not kb_file.exists()
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--dialect", "java"], "argument --lang: required with --dialect java"),
+    (["--dialect", "python"], "argument --lang: required with --dialect python"),
+    (["--dialect", "php"], "argument --lang: required with --dialect php"),
+    (["--dialect", "normalized", "--lang", "php"],
+     "argument --lang: not allowed with --dialect normalized"),
+], ids=["java", "python", "php", "normalized"])
+@pytest.mark.parametrize("stdin_text", ["", JAVA_MAX_RAW + "\n"],
+                         ids=["empty", "one-line"])
+@pytest.mark.parametrize("command", ["normalize", "ingest"])
+def test_dialect_and_lang_mismatch_is_a_usage_error(
+    tmp_path, command, stdin_text, flags, error
+):
+    kb_file = tmp_path / "kb.txt"
+    argv = [command] + flags
+    if command == "ingest":
+        argv += ["--kb", str(kb_file)]
+    code, out, err = _run(argv, stdin_text)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: siglogic %s " % command)
+    assert err.endswith("siglogic %s: error: %s\n" % (command, error))
+    assert not kb_file.exists()
+
+
+def test_tab_line_without_a_language_is_a_line_diagnostic():
+    code, out, err = _run(["normalize"], "java\t\tlong f(int x)\n")
+    assert (code, out) == (1, "")
+    assert err == "<stdin>:1: the java dialect needs a language tag\n"
+
+
+def test_tab_line_with_an_unknown_dialect_is_a_line_diagnostic():
+    code, out, err = _run(["normalize"], "cobol\tcobol\tlong f(int x)\n")
+    assert (code, out) == (1, "")
+    assert err == "<stdin>:1: unknown dialect 'cobol'\n"
 
 
 def test_usage_error_goes_to_the_given_stderr(capsys):
@@ -569,3 +618,44 @@ def test_equiv_target_labels_are_primed_past_the_query_labels(
     sep = "\t" if porcelain else "\n"
     expected = sep.join([_PY_BUILTIN_MAX] + labels) + "\n"
     assert _run(argv + ["--porcelain"] * porcelain) == (0, expected, "")
+
+
+_UNK_LANG_SIG = "UNK ns C::f(int:a) -> r"
+
+
+def test_unk_language_survives_normalize_load_and_query(tmp_path):
+    # UNK is a token, not a tag to lowercase: it stays UNK end to end
+    assert _run(["normalize", "--dialect", "normalized"], _UNK_LANG_SIG + "\n") == (
+        0, _UNK_LANG_SIG + "\n", ""
+    )
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text(_UNK_LANG_SIG + "\n", encoding="utf-8")
+    facts = _run(["facts", "--kb", str(kb_file)])[1].splitlines()
+    assert "lang(fn:UNK|ns|C|f|1,UNK)" in facts
+    assert _run(
+        ["query", "UNK N? C?::f?(?) -> s?", "--kb", str(kb_file), "--porcelain"]
+    ) == (0, _UNK_LANG_SIG + "\tC=C\tN=ns\tf=f\ts=r\n", "")
+
+
+def test_unk_language_takes_part_in_an_equivalence(tmp_path):
+    kb_file, links = tmp_path / "kb.txt", tmp_path / "links.txt"
+    kb_file.write_text(
+        _UNK_LANG_SIG + "\njava lang Math::g(int:a) -> r\n", encoding="utf-8"
+    )
+    links.write_text("UNK|ns|C|f|1\tjava|lang|Math|g|1\n", encoding="utf-8")
+    assert _run(["equiv", "java lang Math::EquivIn(g,UNK)(?) -> s?",
+                 "--kb", str(kb_file), "--eq", str(links), "--porcelain"]) == (
+        0, _UNK_LANG_SIG + "\tC=C\tN=ns\tf'=f\tr=r\ts=r\n", ""
+    )
+
+
+def test_raw_unk_language_is_not_lowercased():
+    assert _run(["normalize", "--dialect", "java", "--lang", "UNK"],
+                "long f(int a)\n") == (0, "UNK core builtin::f(int:a) -> long\n", "")
+
+
+def test_equiv_base_named_unk_matches_no_function(kb_path, eq_path):
+    assert _run(["equiv", "java lang Math::EquivIn(UNK,php)(?) -> r?",
+                 "--kb", kb_path, "--eq", eq_path]) == (
+        1, "", "<query>:1: no ingested function matches 'UNK'\n"
+    )

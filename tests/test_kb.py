@@ -31,7 +31,6 @@ from siglogic.model import (
     Plain,
     Signature,
     Wildcard,
-    slot_token,
     wildcard_labels,
 )
 
@@ -528,7 +527,7 @@ def stored_and_query(draw):
             continue
         stored.append(sig)
     base = draw(st.sampled_from(stored))
-    tokens = [slot_token(s) for s in (base.lang, base.head.name_slot, base.ret)]
+    tokens = [s.token for s in (base.lang, base.head.name_slot, base.ret)]
     pool = draw(st.lists(labels | st.sampled_from(tokens), min_size=3, max_size=3))
 
     def mutate(slot):
@@ -602,9 +601,13 @@ def random_equiv_query(rng, stored):
     one, often the source's own, in random case.
     """
     plain = random_query(rng, stored)
-    lang = plain.lang if isinstance(plain.lang, Const) else _tok(rng, LANGS)
+
+    def concrete(slot):
+        return isinstance(slot, Const) and slot != UNK
+
+    lang = plain.lang if concrete(plain.lang) else _tok(rng, LANGS)
     name = plain.head.name_slot
-    base_name = name.token if isinstance(name, Const) else rng.choice(NAMES)
+    base_name = name.token if concrete(name) else rng.choice(NAMES)
     target_lang = "".join(
         c.upper() if rng.random() < 0.3 else c
         for c in rng.choice(LANGS + [lang.token] * 2)

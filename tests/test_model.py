@@ -12,6 +12,7 @@ from siglogic.model import (
     Signature,
     Wildcard,
     function_key,
+    ground_slot,
     is_ground,
     wildcard_labels,
 )
@@ -27,14 +28,11 @@ def test_const_rejects_bad_tokens():
         Const("")
 
 
-def test_const_unk_is_reserved():
-    with pytest.raises(ModelError):
-        Const("UNK")
-
-
 def test_unk_is_not_a_const():
+    # UNK is the constant token UNK, shared like every ground slot
+    assert Const("UNK") == UNK
+    assert ground_slot("UNK") is UNK
     assert UNK != Const("unk")
-    assert UNK == UNK
 
 
 def test_params_wildcard_excludes_params():
@@ -102,6 +100,20 @@ def test_function_key_rejects_bad_tokens(bad):
         with pytest.raises(ModelError) as e:
             FunctionKey(*fields, 2)
         assert str(e.value) == "invalid key token: %r" % bad
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Wildcard("a b"), "invalid wildcard label: 'a b'"),
+    (lambda: EquivIn("a b", "php"), "invalid EquivIn token: 'a b'"),
+    (lambda: Signature(Const("java"), Const("lang"), Const("Math"),
+                       Plain(Const("max")), vararg=True),
+     "vararg requires at least one explicit param"),
+    (lambda: FunctionKey("java", "lang", "Math", "max", -1), "arity must be >= 0"),
+], ids=["wildcard-label", "equivin-token", "vararg-alone", "negative-arity"])
+def test_direct_construction_checks_its_values(build, message):
+    with pytest.raises(ModelError) as e:
+        build()
+    assert str(e.value) == message
 
 
 def test_function_key_requires_ground():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from siglogic.dsl import parse_signature, print_signature
-from siglogic.model import is_ground, slot_token
+from siglogic.model import UNK, is_ground, lang_token
 from siglogic.normalizer import (
     Dialect,
     DialectParseError,
@@ -46,7 +46,7 @@ def test_python_style_commas_tolerated():
 
 def test_lang_tag_is_lowercased():
     sig = normalize(JAVA_MAX_RAW, Dialect.JAVA, "Java")
-    assert slot_token(sig.lang) == "java"
+    assert sig.lang.token == "java"
 
 
 def test_normalized_dialect_is_pass_through():
@@ -67,9 +67,9 @@ def test_normalized_dialect_lowercases_lang():
         Dialect.NORMALIZED,
         "haskell",
     )
-    assert slot_token(sig.lang) == "haskell"
+    assert sig.lang.token == "haskell"
     # everything else preserved, including case
-    assert slot_token(sig.namespace) == "Data.Bits"
+    assert sig.namespace.token == "Data.Bits"
 
 
 def test_output_is_ground_and_round_trips():
@@ -121,9 +121,9 @@ def test_param_count_preserved():
 @settings(max_examples=200, deadline=None)
 @given(ground_signatures)
 def test_normalized_idempotence(sig):
-    lang = slot_token(sig.lang)
-    if lang != lang.lower():
-        return  # lang tags are canonically lowercase
+    lang = sig.lang.token
+    if lang != lang_token(lang):
+        return  # lang tags are stored lowercase, UNK as it is
     out = normalize(print_signature(sig), Dialect.NORMALIZED, lang)
     assert out == sig
 
@@ -139,17 +139,50 @@ def test_normalized_dialect_error_states_the_offset_once():
     )
 
 
-@pytest.mark.parametrize("dialect, raw, offset", [
+@pytest.mark.parametrize("dialect, raw, offset, message", [
     # the group, not the head
-    (Dialect.JAVA, "lang Math long max(Math long max)", 19),
+    (Dialect.JAVA, "lang Math long max(Math long max)", 19,
+     "expected `type name` or `name`: 'Math long max'"),
     # the `..`, not `a..`
-    (Dialect.JAVA, "lang Math long max(long a.., .., long b)", 29),
+    (Dialect.JAVA, "lang Math long max(long a.., .., long b)", 29,
+     "vararg marker must be last"),
     # the param, not the namespace
-    (Dialect.JAVA, "lang a#b long max(long a#)", 23),
+    (Dialect.JAVA, "lang a#b long max(long a#)", 23, "invalid token 'a#'"),
     # a marker that is not last
-    (Dialect.PYTHON, "decimal Context max(a, ..., b)", 23),
-], ids=["bad-group", "misplaced-vararg", "invalid-token", "python-misplaced-vararg"])
-def test_error_offset_points_at_the_offending_occurrence(dialect, raw, offset):
+    (Dialect.PYTHON, "decimal Context max(a, ..., b)", 23,
+     "vararg marker must be last"),
+    (Dialect.JAVA, "lang Math long max(..)", 18,
+     "vararg marker requires a preceding parameter"),
+    (Dialect.JAVA, "lang Math long max(long a", 25, "missing closing ')'"),
+    (Dialect.JAVA, "lang Math long max(long a) x", 26, "trailing text after ')'"),
+    (Dialect.PYTHON, "a b c d(x)", 0, "expected `[module] [class] name(`"),
+    (Dialect.PHP, "a b c(x)", 0, "expected `[returntype] name(`"),
+], ids=["bad-group", "misplaced-vararg", "invalid-token", "python-misplaced-vararg",
+        "vararg-alone", "unclosed", "trailing-text", "python-head", "php-head"])
+def test_error_offset_points_at_the_offending_occurrence(
+    dialect, raw, offset, message
+):
     with pytest.raises(DialectParseError) as e:
         normalize(raw, dialect, dialect.value)
     assert e.value.position == offset
+    assert str(e.value) == "%s dialect, at offset %d: %s" % (
+        dialect.value, offset, message
+    )
+
+
+def test_python_style_vararg():
+    sig = normalize("decimal Context max(a b ...)", Dialect.PYTHON, "python")
+    assert print_signature(sig) == (
+        "python decimal Context::max(UNK:a,UNK:b,...) -> UNK"
+    )
+
+
+def test_invalid_language_tag_is_rejected():
+    with pytest.raises(ValueError, match="invalid language tag: 'p p'"):
+        normalize(JAVA_MAX_RAW, Dialect.JAVA, "p p")
+
+
+def test_unk_language_tag_is_kept():
+    assert normalize("long f(int a)", Dialect.JAVA, "UNK").lang == UNK
+    sig = normalize("UNK ns C::f(int:a) -> r", Dialect.NORMALIZED)
+    assert print_signature(sig) == "UNK ns C::f(int:a) -> r"
