@@ -312,16 +312,12 @@ def test_dialect_and_lang_mismatch_is_a_usage_error(
     assert not kb_file.exists()
 
 
-def test_tab_line_without_a_language_is_a_line_diagnostic():
-    code, out, err = _run(["normalize"], "java\t\tlong f(int x)\n")
-    assert (code, out) == (1, "")
-    assert err == "<stdin>:1: the java dialect needs a language tag\n"
-
-
-def test_tab_line_with_an_unknown_dialect_is_a_line_diagnostic():
-    code, out, err = _run(["normalize"], "cobol\tcobol\tlong f(int x)\n")
-    assert (code, out) == (1, "")
-    assert err == "<stdin>:1: unknown dialect 'cobol'\n"
+@pytest.mark.parametrize("line, error", [
+    ("java\t\tlong f(int x)", "the java dialect needs a language tag"),
+    ("cobol\tcobol\tlong f(int x)", "unknown dialect 'cobol'"),
+], ids=["no-language", "unknown-dialect"])
+def test_bad_tab_line_is_a_line_diagnostic(line, error):
+    assert _run(["normalize"], line + "\n") == (1, "", "<stdin>:1: %s\n" % error)
 
 
 def test_usage_error_goes_to_the_given_stderr(capsys):

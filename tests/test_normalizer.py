@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from siglogic.dsl import parse_signature, print_signature
-from siglogic.model import UNK, is_ground, lang_token
+from siglogic.model import is_ground, lang_token
 from siglogic.normalizer import (
     Dialect,
     DialectParseError,
@@ -180,9 +180,3 @@ def test_python_style_vararg():
 def test_invalid_language_tag_is_rejected():
     with pytest.raises(ValueError, match="invalid language tag: 'p p'"):
         normalize(JAVA_MAX_RAW, Dialect.JAVA, "p p")
-
-
-def test_unk_language_tag_is_kept():
-    assert normalize("long f(int a)", Dialect.JAVA, "UNK").lang == UNK
-    sig = normalize("UNK ns C::f(int:a) -> r", Dialect.NORMALIZED)
-    assert print_signature(sig) == "UNK ns C::f(int:a) -> r"
