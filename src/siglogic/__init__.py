@@ -13,26 +13,18 @@ from .model import (
     ModelError,
     NotGround,
     Param,
-    Plain,
     Signature,
     Wildcard,
     function_key,
     is_ground,
 )
 from .dsl import MixedWildcardParams, ParseError, parse_signature, print_signature
-from .normalizer import (
-    Dialect,
-    DialectParseError,
-    NotGroundAfterNormalize,
-    normalize,
-)
+from .normalizer import Dialect, DialectParseError, normalize
 from .logic import (
     App,
     ArityMismatch,
     Atom,
-    ConstTok,
     Formula,
-    NotEquivHead,
     UnsupportedHead,
     Var,
     alpha_eq,
@@ -64,7 +56,6 @@ __all__ = [
     "ModelError",
     "NotGround",
     "Param",
-    "Plain",
     "Signature",
     "Wildcard",
     "function_key",
@@ -75,14 +66,11 @@ __all__ = [
     "print_signature",
     "Dialect",
     "DialectParseError",
-    "NotGroundAfterNormalize",
     "normalize",
     "App",
     "ArityMismatch",
     "Atom",
-    "ConstTok",
     "Formula",
-    "NotEquivHead",
     "UnsupportedHead",
     "Var",
     "alpha_eq",

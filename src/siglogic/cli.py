@@ -32,7 +32,7 @@ import shutil
 import sys
 
 from . import dsl, kb, logic, normalizer
-from .model import FunctionKey, lang_token
+from .model import TOKEN_RE, FunctionKey, lang_token
 from .normalizer import Dialect
 
 _INPUT_ERRORS = (ValueError, kb.SourceNotFound)  # all siglogic input errors
@@ -137,12 +137,16 @@ def _input_lines(paths, stdin):
 
 
 def _check_lang(args):
-    """A usage error unless --lang comes with a raw --dialect, and only then."""
+    """A usage error unless --lang is a valid tag given with a raw --dialect,
+    and only then."""
     raw = args.dialect not in (None, Dialect.NORMALIZED.value)
     if raw != (args.lang is not None):
         where = "with --dialect " + args.dialect if args.dialect else "without --dialect"
         args.subparser.error("argument --lang: %s %s" % (
             "required" if raw else "not allowed", where))
+    if raw and not TOKEN_RE.fullmatch(args.lang):
+        args.subparser.error(
+            "argument --lang: invalid language tag: %r" % (args.lang,))
 
 
 def _input_sigs(args, stdin):
@@ -167,6 +171,10 @@ def _normalize_line(path, lineno, line, dialect, lang):
             dia = Dialect(dia_name)
         except ValueError:
             raise _LineError(path, lineno, "unknown dialect %r" % dia_name)
+        if dia is Dialect.NORMALIZED and tag:  # the text names its language
+            raise _LineError(
+                path, lineno, "the normalized dialect takes no language tag"
+            )
     else:
         raw, dia, tag = line, Dialect.NORMALIZED, None
     try:

@@ -29,7 +29,6 @@ import re
 from .model import (
     EquivIn,
     Param,
-    Plain,
     Signature,
     SlotValue,
     TOKEN_RE,
@@ -152,7 +151,7 @@ def parse_signature(text: str) -> Signature:
         lang=_slot(g[0], g[1]),
         namespace=_slot(g[2], g[3]),
         class_name=_slot(g[4], g[5]),
-        head=Plain(_slot(g[6], g[7])),
+        head=_slot(g[6], g[7]),
         params=tuple(_param(*p.groups()) for p in params),
         vararg=g[9] is not None,
         ret=_slot(g[10], g[11]),
@@ -167,16 +166,14 @@ def _scan_signature(text: str) -> Signature:
     s.expect("::")
 
     # Head: `EquivIn(` wins over a function literally named EquivIn.
-    name = s.slot("a function head")
-    if name == ground_slot("EquivIn") and s.peek() == "(":
+    head = s.slot("a function head")
+    if head == ground_slot("EquivIn") and s.peek() == "(":
         s.expect("(")
         base = s.token("a base function name")
         s.expect(",")
         target = s.token("a target language")
         s.expect(")")
         head = EquivIn(base, target)
-    else:
-        head = Plain(name)
 
     s.expect("(")
     params = []
@@ -236,7 +233,7 @@ def print_signature(sig: Signature) -> str:
     if isinstance(sig.head, EquivIn):
         head = "EquivIn(%s,%s)" % (sig.head.base_name, sig.head.target_lang)
     else:
-        head = _slot_str(sig.head.name_slot)
+        head = _slot_str(sig.head)
     if sig.params_wildcard:
         params = "?"
     else:

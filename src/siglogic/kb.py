@@ -9,9 +9,9 @@ arguments `atom`, `app` and `const`.  The oracle path (`FactStore.facts`,
 `brute_force_answer`) keeps the defaults and builds `Atom`s;
 `dump_facts` passes `call_text` and `str`, so each fact is built as its
 printed line.  A witness is a plain string derived from the function's
-identity (a `str` never equals a `ConstTok`, so a witness cannot pass
-for a token).  Namespace witnesses are shared across functions of the
-same (lang, namespace); class witnesses across (lang, namespace, class).
+identity (a `str` never equals a `Const`, so a witness cannot pass for
+a token).  Namespace witnesses are shared across functions of the same
+(lang, namespace); class witnesses across (lang, namespace, class).
 Queries are signatures with wildcards.  Each is read once into a matcher
 (`_matcher`), run over the table, that checks a stored signature's arity
 and the query's constant slots before it binds any label.  The
@@ -28,7 +28,6 @@ from operator import attrgetter
 
 from .logic import (
     App,
-    ConstTok,
     Formula,
     LogicError,
     Term,
@@ -40,6 +39,7 @@ from .logic import (
     signature_atoms,
 )
 from .model import (
+    Const,
     EquivIn,
     FunctionKey,
     Signature,
@@ -336,7 +336,7 @@ def brute_force_answer(store: FactStore, query: Signature) -> set:
 
 
 def _ground_token(term: Term) -> str:
-    if isinstance(term, ConstTok):
+    if isinstance(term, Const):
         return term.token
     raise LogicError("wildcard bound to a non-constant term: %r" % (term,))
 
@@ -353,7 +353,7 @@ def _matcher(query: Signature):
         (query.lang, attrgetter("lang.token")),
         (query.namespace, attrgetter("namespace.token")),
         (query.class_name, attrgetter("class_name.token")),
-        (query.head.name_slot, attrgetter("head.name_slot.token")),
+        (query.head, attrgetter("head.token")),
         (query.ret, attrgetter("ret.token")),
     ]
     for i, p in enumerate(query.params):

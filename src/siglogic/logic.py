@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .model import (
+    Const,
     EquivIn as EquivInHead,
-    Plain,
     Signature,
     Wildcard,
     ground_slot,
@@ -32,11 +32,7 @@ class LogicError(ValueError):
 
 
 class UnsupportedHead(LogicError):
-    """Operation requires a Plain head but got EquivIn (or vice versa)."""
-
-
-class NotEquivHead(LogicError):
-    pass
+    """Operation requires a plain head but got EquivIn (or vice versa)."""
 
 
 class ArityMismatch(LogicError):
@@ -49,22 +45,17 @@ class Var:
 
 
 @dataclass(frozen=True)
-class ConstTok:
-    token: str
-
-
-@dataclass(frozen=True)
 class App:
     """Applied term `f(x1,...,xn)`; only legal as the second arg of `eq`."""
 
-    fn: "Term"  # ConstTok for a known name, Var when the name is queried
+    fn: "Term"  # Const for a known name, Var when the name is queried
     args: tuple = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-Term = Var | ConstTok | App
+Term = Var | Const | App
 
 PREDICATE_ARITIES = {
     "fun": 2,
@@ -139,7 +130,7 @@ def call_text(name: str, args) -> str:
 
 
 def signature_atoms(sig: Signature, v, f, n, c, xs,
-                    atom=Atom, app=App, const=ConstTok) -> tuple:
+                    atom=Atom, app=App, const=ground_slot) -> tuple:
     """The 8 + 3n atoms of sig over the given terms.
 
     v, f, n and c stand for the value, function, namespace and class
@@ -154,7 +145,7 @@ def signature_atoms(sig: Signature, v, f, n, c, xs,
             return Var(slot.label)
         return const(slot.token)
 
-    fname = term(sig.head.name_slot)
+    fname = term(sig.head)
     atoms = [
         atom("fun", (f, fname)),
         atom("eq", (v, app(fname, xs))),
@@ -189,7 +180,7 @@ def compile_signature(sig: Signature) -> Formula:
         # is spelled alike: its binder would capture that constant in the
         # printed text, so it gets `_e` suffixes until fresh.
         consts = {
-            t.token for a in atoms for t in a.args if isinstance(t, ConstTok)
+            t.token for a in atoms for t in a.args if isinstance(t, Const)
         }
         taken = consts | set(existentials) | set(lambdas)
         renamed = {}
@@ -270,13 +261,13 @@ def expand_equiv(sig: Signature):
     base answer.
     """
     if not isinstance(sig.head, EquivInHead):
-        raise NotEquivHead("expand_equiv requires an EquivIn head")
+        raise UnsupportedHead("expand_equiv requires an EquivIn head")
     taken = set(wildcard_labels(sig))
     n, c, f, r = (Wildcard(_fresh(x, taken, "'")) for x in ("N", "C", "f'", "r"))
-    base = replace(sig, head=Plain(ground_slot(sig.head.base_name)))
+    base = replace(sig, head=ground_slot(sig.head.base_name))
     target = Signature(
         lang=ground_slot(lang_token(sig.head.target_lang)), namespace=n,
-        class_name=c, head=Plain(f), params_wildcard=True, ret=r,
+        class_name=c, head=f, params_wildcard=True, ret=r,
     )
     return base, target
 
@@ -287,7 +278,7 @@ def print_term(term: Term, formula: Formula = None) -> str:
         return term
     if isinstance(term, Var):
         return term.name
-    if isinstance(term, ConstTok):
+    if isinstance(term, Const):
         return term.token
     args = [print_term(a) for a in term.args]  # an App
     if formula is not None and formula.arity_unconstrained:

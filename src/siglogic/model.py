@@ -23,7 +23,8 @@ class ModelError(ValueError):
 
 
 class NotGround(ModelError):
-    """Raised when a ground signature is required but wildcards are present."""
+    """Input only a query may hold: a wildcard, an EquivIn head or a
+    function named UNK, where a ground signature is required."""
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,6 @@ class Param:
 
 
 @dataclass(frozen=True)
-class Plain:
-    """Ordinary function head; the name is a slot (may be UNK or a wildcard)."""
-
-    name_slot: SlotValue
-
-
-@dataclass(frozen=True)
 class EquivIn:
     """Head requesting the equivalent of `base_name` in `target_lang`."""
 
@@ -93,15 +87,12 @@ class EquivIn:
                 raise ModelError("invalid EquivIn token: %r" % (tok,))
 
 
-FunctionHead = Plain | EquivIn
-
-
 @dataclass(frozen=True)
 class Signature:
     lang: SlotValue
     namespace: SlotValue
     class_name: SlotValue
-    head: FunctionHead
+    head: SlotValue | EquivIn  # a plain head is its name slot
     params: tuple = field(default=())  # Params, numbered 1.. by place
     params_wildcard: bool = False
     vararg: bool = False
@@ -151,7 +142,7 @@ def not_ground_reason(sig: Signature) -> str | None:
     """What keeps sig from being ground, as a clause, or None if it is."""
     if isinstance(sig.head, EquivIn):
         return "has an EquivIn head"
-    if sig.head.name_slot == UNK:
+    if sig.head == UNK:
         return "names its function UNK"
     if sig.params_wildcard or Wildcard in map(type, _slots(sig)):
         return "contains wildcards"
@@ -166,7 +157,7 @@ def function_key(sig: Signature) -> FunctionKey:
         lang=sig.lang.token,
         namespace=sig.namespace.token,
         class_name=sig.class_name.token,
-        name=sig.head.name_slot.token,
+        name=sig.head.token,
         arity=len(sig.params),
     )
 
@@ -178,8 +169,8 @@ def _slots(sig: Signature):
     yield sig.lang
     yield sig.namespace
     yield sig.class_name
-    if isinstance(sig.head, Plain):
-        yield sig.head.name_slot
+    if not isinstance(sig.head, EquivIn):
+        yield sig.head
     for p in sig.params:
         yield p.type_slot
         yield p.name_slot

@@ -23,8 +23,8 @@ from .model import (
     UNK,
     Const,
     ModelError,
+    NotGround,
     Param,
-    Plain,
     Signature,
     TOKEN_RE,
     ground_slot,
@@ -50,10 +50,6 @@ class DialectParseError(ValueError):
         )
 
 
-class NotGroundAfterNormalize(ValueError):
-    """Input only a query may hold: a wildcard, EquivIn head or UNK name."""
-
-
 def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signature:
     """raw as a ground signature.  `lang_tag` names the language of raw
     dialect text; normalized text names its own, so there it may be None."""
@@ -71,7 +67,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
                 "expected %s, found %s" % (e.expected, e.found),
             ) from e
         if not is_ground(sig):
-            raise NotGroundAfterNormalize(
+            raise NotGround(
                 "normalized input %s: %r" % (not_ground_reason(sig), raw)
             )
         return lowercase_lang(sig)
@@ -79,9 +75,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
     if lang_tag is None:
         raise ValueError("the %s dialect needs a language tag" % dialect.value)
     if "?" in raw:
-        raise NotGroundAfterNormalize(
-            "raw input contains wildcard syntax: %r" % (raw,)
-        )
+        raise NotGround("raw input contains wildcard syntax: %r" % (raw,))
 
     head_text, args_text, args_at = _split_paren(raw, dialect)
     words = _words(head_text, 0)
@@ -105,7 +99,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
         lang=ground_slot(lang_token(lang_tag)),
         namespace=_const_tok(ns, dialect),
         class_name=_const_tok(cls, dialect),
-        head=Plain(_const_tok(name, dialect)),
+        head=_const_tok(name, dialect),
         params=tuple(params),
         vararg=vararg,
         ret=UNK if ret is None else _const_tok(ret, dialect),

@@ -7,7 +7,6 @@ from siglogic.model import (
     Const,
     EquivIn,
     Param,
-    Plain,
     Signature,
     Wildcard,
 )
@@ -31,16 +30,16 @@ def _params(slot_strategy):
 def signatures(draw, ground=False):
     """Arbitrary well-formed signatures.
 
-    With ground=True: no wildcards, Plain Const head, no `(?)` list.
+    With ground=True: no wildcards, a Const head (not UNK), no `(?)` list.
     Otherwise wildcards, EquivIn heads and whole-list wildcards all occur.
     """
     slot = ground_slots if ground else slots
     if ground:
-        head = Plain(draw(tokens.map(Const)))
+        head = draw(tokens.map(Const))
     elif draw(st.booleans()) and draw(st.integers(0, 4)) == 0:
         head = EquivIn(draw(tokens), draw(tokens))
     else:
-        head = Plain(draw(slot))
+        head = draw(slot)
 
     if isinstance(head, EquivIn):
         lang = draw(tokens.map(Const))

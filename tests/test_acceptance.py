@@ -20,7 +20,6 @@ from siglogic.kb import (
 from siglogic.logic import (
     App,
     Atom,
-    ConstTok,
     Formula,
     Var,
     alpha_eq,
@@ -34,7 +33,6 @@ from siglogic.model import (
     EquivIn,
     FunctionKey,
     Param,
-    Plain,
     Signature,
     Wildcard,
 )
@@ -71,20 +69,20 @@ def test_criterion_1_java_max_golden():
         lambdas=("y1", "y2"),
         existentials=("w", "g", "m", "k"),
         atoms=(
-            Atom("fun", (g, ConstTok("max"))),
-            Atom("eq", (w, App(ConstTok("max"), (y1, y2)))),
-            Atom("lang", (g, ConstTok("java"))),
-            Atom("type", (w, ConstTok("long"))),
-            Atom("class", (k, ConstTok("Math"))),
+            Atom("fun", (g, Const("max"))),
+            Atom("eq", (w, App(Const("max"), (y1, y2)))),
+            Atom("lang", (g, Const("java"))),
+            Atom("type", (w, Const("long"))),
+            Atom("class", (k, Const("Math"))),
             Atom("in_class", (g, k)),
-            Atom("namespace", (m, ConstTok("lang"))),
+            Atom("namespace", (m, Const("lang"))),
             Atom("in_namespace", (g, m)),
-            Atom("var", (y1, ConstTok("a"))),
-            Atom("type", (y1, ConstTok("long"))),
-            Atom("has_param", (g, y1, ConstTok("1"))),
-            Atom("var", (y2, ConstTok("b"))),
-            Atom("type", (y2, ConstTok("long"))),
-            Atom("has_param", (g, y2, ConstTok("2"))),
+            Atom("var", (y1, Const("a"))),
+            Atom("type", (y1, Const("long"))),
+            Atom("has_param", (g, y1, Const("1"))),
+            Atom("var", (y2, Const("b"))),
+            Atom("type", (y2, Const("long"))),
+            Atom("has_param", (g, y2, Const("2"))),
         ),
     )
     ok = ok and alpha_eq(compile_signature(sig), expected)
@@ -95,11 +93,11 @@ def test_criterion_1_java_max_golden():
 def test_criterion_2_beta_application():
     start = time.perf_counter()
     formula = compile_signature(parse_signature(JAVA_MAX))
-    applied = beta_apply(formula, [ConstTok("4L"), ConstTok("5L")])
+    applied = beta_apply(formula, [Const("4L"), Const("5L")])
     ok = applied.lambdas == ()
     ok = ok and applied.atoms[1] == Atom(
         "eq",
-        (Var("v"), App(ConstTok("max"), (ConstTok("4L"), ConstTok("5L")))),
+        (Var("v"), App(Const("max"), (Const("4L"), Const("5L")))),
     )
     _report(2, "beta application of 4L, 5L to java max", ok,
             time.perf_counter() - start, 1.0)
@@ -174,9 +172,7 @@ def _rand_signature(rng, ground=False):
         head = EquivIn(rng.choice(_TOKENS), rng.choice(_TOKENS))
         lang = Const(rng.choice(_TOKENS))
     else:
-        head = Plain(
-            Const(rng.choice(_TOKENS)) if ground else _rand_slot(rng)
-        )
+        head = Const(rng.choice(_TOKENS)) if ground else _rand_slot(rng)
         lang = _rand_slot(rng, ground)
     params_wildcard = not ground and rng.random() < 0.15
     params = ()

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,16 @@ def test_console_entry_point_exit_codes():
     code, _, err = _run_script(["frobnicate"], "")
     assert code == 2
     assert "invalid choice: 'frobnicate'" in err
+
+
+def test_package_all_lists_its_public_names():
+    star = {}
+    exec("from siglogic import *", star)  # each entry must resolve
+    public = {
+        name for name, value in vars(siglogic).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(siglogic.__all__) == sorted(public)
 
 
 def test_compile_parse_error_exit_code():
@@ -294,7 +305,11 @@ def test_lang_without_dialect_is_a_usage_error(tmp_path, command):
     (["--dialect", "php"], "argument --lang: required with --dialect php"),
     (["--dialect", "normalized", "--lang", "php"],
      "argument --lang: not allowed with --dialect normalized"),
-], ids=["java", "python", "php", "normalized"])
+    (["--dialect", "java", "--lang", "p p"],
+     "argument --lang: invalid language tag: 'p p'"),
+    (["--dialect", "java", "--lang", ""],
+     "argument --lang: invalid language tag: ''"),
+], ids=["java", "python", "php", "normalized", "bad-tag", "empty-tag"])
 @pytest.mark.parametrize("stdin_text", ["", JAVA_MAX_RAW + "\n"],
                          ids=["empty", "one-line"])
 @pytest.mark.parametrize("command", ["normalize", "ingest"])
@@ -315,9 +330,16 @@ def test_dialect_and_lang_mismatch_is_a_usage_error(
 @pytest.mark.parametrize("line, error", [
     ("java\t\tlong f(int x)", "the java dialect needs a language tag"),
     ("cobol\tcobol\tlong f(int x)", "unknown dialect 'cobol'"),
-], ids=["no-language", "unknown-dialect"])
+    ("normalized\tphp\t" + JAVA_MAX,
+     "the normalized dialect takes no language tag"),
+], ids=["no-language", "unknown-dialect", "normalized-with-language"])
 def test_bad_tab_line_is_a_line_diagnostic(line, error):
     assert _run(["normalize"], line + "\n") == (1, "", "<stdin>:1: %s\n" % error)
+
+
+def test_normalized_tab_line_with_empty_language_is_read():
+    assert _run(["normalize"], "normalized\t\t%s\n" % JAVA_MAX) == (
+        0, JAVA_MAX + "\n", "")
 
 
 def test_usage_error_goes_to_the_given_stderr(capsys):

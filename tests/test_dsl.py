@@ -15,7 +15,6 @@ from siglogic.model import (
     EquivIn,
     ModelError,
     Param,
-    Plain,
     Signature,
     Wildcard,
 )
@@ -41,7 +40,7 @@ def test_parse_concrete_signature():
         lang=Const("java"),
         namespace=Const("lang"),
         class_name=Const("Math"),
-        head=Plain(Const("max")),
+        head=Const("max"),
         params=(
             Param(Const("long"), Const("a")),
             Param(Const("long"), Const("b")),
@@ -54,7 +53,7 @@ def test_parse_wildcard_query():
     sig = parse_signature("java N? C?::f?(long:a,long:p?) -> long")
     assert sig.namespace == Wildcard("N")
     assert sig.class_name == Wildcard("C")
-    assert sig.head == Plain(Wildcard("f"))
+    assert sig.head == Wildcard("f")
     assert sig.params == (
         Param(Const("long"), Const("a")),
         Param(Const("long"), Wildcard("p")),
@@ -138,7 +137,7 @@ def test_parse_error_on_trailing_garbage():
 
 def test_function_named_equivin_wildcard_is_plain():
     sig = parse_signature("java lang Math::EquivIn?(?) -> r?")
-    assert sig.head == Plain(Wildcard("EquivIn"))
+    assert sig.head == Wildcard("EquivIn")
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,7 +20,7 @@ from siglogic.kb import (
     ns_skolem,
     reconstruct_signature,
 )
-from siglogic.logic import NotEquivHead, UnsupportedHead, expand_equiv
+from siglogic.logic import UnsupportedHead, expand_equiv
 from siglogic.model import (
     UNK,
     Const,
@@ -28,7 +28,6 @@ from siglogic.model import (
     FunctionKey,
     NotGround,
     Param,
-    Plain,
     Signature,
     Wildcard,
     wildcard_labels,
@@ -346,8 +345,21 @@ def test_equiv_target_lang_matches_a_stored_tag_exactly():
     assert answer_equiv(store, eqs, query) == set()
 
 
+def test_equiv_skips_a_linked_key_the_kb_does_not_hold():
+    store = FactStore()
+    _ingest(store, JAVA_MAX)
+    _ingest(store, "php core builtin::max(mixed:a,mixed:b) -> mixed")
+    java = FunctionKey("java", "lang", "Math", "max", 2)
+    eqs = EquivStore()
+    eqs.add_eq(java, FunctionKey("haskell", "Prelude", "builtin", "max", 2))
+    eqs.add_eq(java, FunctionKey("php", "core", "builtin", "max", 2))
+    query = "java lang Math::EquivIn(max,%s)(?) -> r?"
+    assert answer_equiv(store, eqs, parse_signature(query % "haskell")) == set()
+    assert len(answer_equiv(store, eqs, parse_signature(query % "php"))) == 1
+
+
 def test_answer_equiv_requires_equiv_head(full_store, shift_eqs):
-    with pytest.raises(NotEquivHead):
+    with pytest.raises(UnsupportedHead):
         answer_equiv(full_store, shift_eqs, parse_signature(JAVA_MAX))
 
 
@@ -387,7 +399,7 @@ def test_fact_count_closed_form_matches_derived_facts():
                     lang=Const(rng.choice(["java", "php"])),
                     namespace=Const(rng.choice(dotted)),
                     class_name=Const(rng.choice(dotted)),
-                    head=Plain(Const(rng.choice(dotted))),
+                    head=Const(rng.choice(dotted)),
                     params=tuple(
                         Param(_tok(rng, TYPES), Const(rng.choice(dotted)))
                         for _ in range(rng.randint(0, 3))
@@ -436,7 +448,7 @@ def random_ground_signature(rng):
         lang=_tok(rng, LANGS),
         namespace=_tok(rng, NAMESPACES),
         class_name=_tok(rng, CLASSES),
-        head=Plain(Const(rng.choice(NAMES))),
+        head=Const(rng.choice(NAMES)),
         params=params,
         vararg=bool(params) and rng.random() < 0.15,
         ret=_tok(rng, TYPES),
@@ -479,12 +491,12 @@ def random_query(rng, stored):
             vararg = True
         elif params and rng.random() < 0.1:
             vararg = True
-    head_slot = mutate(base.head.name_slot)
+    head_slot = mutate(base.head)
     return Signature(
         lang=mutate(base.lang),
         namespace=mutate(base.namespace),
         class_name=mutate(base.class_name),
-        head=Plain(head_slot),
+        head=head_slot,
         params=params,
         params_wildcard=params_wildcard,
         vararg=vararg,
@@ -527,7 +539,7 @@ def stored_and_query(draw):
             continue
         stored.append(sig)
     base = draw(st.sampled_from(stored))
-    tokens = [s.token for s in (base.lang, base.head.name_slot, base.ret)]
+    tokens = [s.token for s in (base.lang, base.head, base.ret)]
     pool = draw(st.lists(labels | st.sampled_from(tokens), min_size=3, max_size=3))
 
     def mutate(slot):
@@ -551,7 +563,7 @@ def stored_and_query(draw):
         lang=mutate(base.lang),
         namespace=mutate(base.namespace),
         class_name=mutate(base.class_name),
-        head=Plain(mutate(base.head.name_slot)),
+        head=mutate(base.head),
         params=params,
         params_wildcard=params_wildcard,
         vararg=vararg,
@@ -606,7 +618,7 @@ def random_equiv_query(rng, stored):
         return isinstance(slot, Const) and slot != UNK
 
     lang = plain.lang if concrete(plain.lang) else _tok(rng, LANGS)
-    name = plain.head.name_slot
+    name = plain.head
     base_name = name.token if concrete(name) else rng.choice(NAMES)
     target_lang = "".join(
         c.upper() if rng.random() < 0.3 else c
@@ -706,7 +718,7 @@ def test_binding_soundness(max_store):
             lang=subst(query.lang),
             namespace=subst(query.namespace),
             class_name=subst(query.class_name),
-            head=Plain(subst(query.head.name_slot)),
+            head=subst(query.head),
             params=tuple(
                 Param(subst(p.type_slot), subst(p.name_slot))
                 for p in query.params
@@ -737,7 +749,7 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
             lang=Const(rng.choice(["java", "php"])),
             namespace=Const(rng.choice(dotted)),
             class_name=Const(rng.choice(dotted)),
-            head=Plain(Const(rng.choice(NAMES + dotted))),
+            head=Const(rng.choice(NAMES + dotted)),
             params=tuple(
                 Param(_tok(rng, TYPES), _tok(rng, PARAM_NAMES + ["UNK"]))
                 for _ in range(arity)

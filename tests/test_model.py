@@ -8,7 +8,6 @@ from siglogic.model import (
     ModelError,
     NotGround,
     Param,
-    Plain,
     Signature,
     Wildcard,
     function_key,
@@ -41,7 +40,7 @@ def test_params_wildcard_excludes_params():
             lang=Const("java"),
             namespace=Const("lang"),
             class_name=Const("Math"),
-            head=Plain(Const("max")),
+            head=Const("max"),
             params=(Param(Const("long"), Const("a")),),
             params_wildcard=True,
         )
@@ -106,7 +105,7 @@ def test_function_key_rejects_bad_tokens(bad):
     (lambda: Wildcard("a b"), "invalid wildcard label: 'a b'"),
     (lambda: EquivIn("a b", "php"), "invalid EquivIn token: 'a b'"),
     (lambda: Signature(Const("java"), Const("lang"), Const("Math"),
-                       Plain(Const("max")), vararg=True),
+                       Const("max"), vararg=True),
      "vararg requires at least one explicit param"),
     (lambda: FunctionKey("java", "lang", "Math", "max", -1), "arity must be >= 0"),
 ], ids=["wildcard-label", "equivin-token", "vararg-alone", "negative-arity"])

@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from siglogic.dsl import parse_signature, print_signature
-from siglogic.model import is_ground, lang_token
-from siglogic.normalizer import (
-    Dialect,
-    DialectParseError,
-    NotGroundAfterNormalize,
-    normalize,
-)
+from siglogic.model import NotGround, is_ground, lang_token
+from siglogic.normalizer import Dialect, DialectParseError, normalize
 
 from conftest import JAVA_MAX, JAVA_MAX_RAW, PHP_MAX, PHP_MAX_RAW, PY_MAX, PY_MAX_RAW
 from strategies import ground_signatures
@@ -84,9 +79,9 @@ def test_output_is_ground_and_round_trips():
 
 
 def test_wildcards_in_raw_text_rejected():
-    with pytest.raises(NotGroundAfterNormalize):
+    with pytest.raises(NotGround):
         normalize("lang Math long max(long a?,long b)", Dialect.JAVA, "java")
-    with pytest.raises(NotGroundAfterNormalize):
+    with pytest.raises(NotGround):
         normalize("java N? C?::f?(?) -> r?", Dialect.NORMALIZED, "java")
 
 
@@ -96,7 +91,7 @@ def test_wildcards_in_raw_text_rejected():
     ("java lang Math::EquivIn(max,php)(long:a) -> long", "has an EquivIn head"),
 ], ids=["wildcards", "unk-name", "equivin-head"])
 def test_not_ground_error_names_its_cause(text, cause):
-    with pytest.raises(NotGroundAfterNormalize) as e:
+    with pytest.raises(NotGround) as e:
         normalize(text, Dialect.NORMALIZED)
     assert str(e.value) == "normalized input %s: %r" % (cause, text)
 
