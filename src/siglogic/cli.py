@@ -32,7 +32,7 @@ import shutil
 import sys
 
 from . import dsl, kb, logic, normalizer
-from .model import TOKEN_RE, FunctionKey, lang_token
+from .model import TOKEN_RE, FunctionKey
 from .normalizer import Dialect
 
 _INPUT_ERRORS = (ValueError, kb.SourceNotFound)  # all siglogic input errors
@@ -215,44 +215,26 @@ def _write_atomically(path, text):
         raise
 
 
-def _parse_key(text, path, lineno) -> FunctionKey:
-    fields = text.split("|")
-    if len(fields) != 5:
-        raise _LineError(path, lineno, "expected `lang|ns|class|name|arity`")
-    arity = fields[4]
-    # ASCII digits only: `int` would also read `+2`, `2_0`, ` 2` and `\u0662`
-    if not (arity.isascii() and arity.isdigit()):
-        raise _LineError(path, lineno, "invalid arity %r" % arity)
-    try:
-        return FunctionKey(
-            lang_token(fields[0]), fields[1], fields[2], fields[3], int(arity)
-        )
-    except _INPUT_ERRORS as e:
-        raise _LineError(path, lineno, str(e))
-
-
 def _load_eq(path) -> kb.EquivStore:
     eqs = kb.EquivStore()
     for lineno, line in _lines(_read(path)):
         halves = line.split("\t")
         if len(halves) != 2:
             raise _LineError(path, lineno, "expected two tab-separated keys")
-        eqs.add_eq(
-            _parse_key(halves[0], path, lineno),
-            _parse_key(halves[1], path, lineno),
-        )
+        try:
+            eqs.add_eq(FunctionKey.parse(halves[0]), FunctionKey.parse(halves[1]))
+        except _INPUT_ERRORS as e:
+            raise _LineError(path, lineno, str(e))
     return eqs
 
 
-def _parse_query(text):
-    """The query's signature, its language lowercased like the KB's."""
+def _parse(text):
+    """A DSL line's signature, its language lowercased like the KB's."""
     return normalizer.lowercase_lang(dsl.parse_signature(text))
 
 
 def _print_results(store, results, porcelain, out):
-    ordered = sorted(
-        results, key=lambda b: (str(b.key), b.items)
-    )
+    ordered = sorted(results, key=lambda b: (b.key, b.items))
     if not ordered:
         print("0 results", file=out)
         return
@@ -292,8 +274,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         elif args.command == "compile":
             for path, lineno, line in _input_lines(args.inputs, stdin):
                 try:
-                    sig = dsl.parse_signature(line)
-                    formula = logic.compile_signature(sig)
+                    formula = logic.compile_signature(_parse(line))
                 except _INPUT_ERRORS as e:
                     raise _LineError(path, lineno, str(e))
                 print(logic.print_formula(formula), file=out)
@@ -329,7 +310,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         elif args.command == "query":
             store = _load_kb(args.kb, _read(args.kb))
             try:
-                results = kb.answer(store, _parse_query(args.query))
+                results = kb.answer(store, _parse(args.query))
             except _INPUT_ERRORS as e:
                 raise _LineError("<query>", 1, str(e))
             _print_results(store, results, args.porcelain, out)
@@ -338,7 +319,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             store = _load_kb(args.kb, _read(args.kb))
             eqs = _load_eq(args.eq)
             try:
-                results = kb.answer_equiv(store, eqs, _parse_query(args.query))
+                results = kb.answer_equiv(store, eqs, _parse(args.query))
             except _INPUT_ERRORS as e:
                 raise _LineError("<query>", 1, str(e))
             _print_results(store, results, args.porcelain, out)

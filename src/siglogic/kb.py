@@ -62,23 +62,16 @@ class KeyConflict(ValueError):
     """
 
 
-def _key_id(key: FunctionKey) -> str:
-    # `|` lies outside the token charset, so ids are injective in the key
-    return "%s|%s|%s|%s|%d" % (
-        key.lang, key.namespace, key.class_name, key.name, key.arity,
-    )
-
-
 def fn_skolem(key: FunctionKey) -> str:
-    return "fn:" + _key_id(key)
+    return "fn:" + key.text
 
 
 def ret_skolem(key: FunctionKey) -> str:
-    return "ret:" + _key_id(key)
+    return "ret:" + key.text
 
 
 def param_skolem(key: FunctionKey, position: int) -> str:
-    return "par:%s|%d" % (_key_id(key), position)
+    return "par:%s|%d" % (key.text, position)
 
 
 def ns_skolem(lang: str, namespace: str) -> str:
@@ -146,8 +139,8 @@ def _skolemize(key: FunctionKey, sig: Signature, **build):
         sig,
         ret_skolem(key),
         fn_skolem(key),
-        ns_skolem(key.lang, key.namespace),
-        cls_skolem(key.lang, key.namespace, key.class_name),
+        ns_skolem(*key[:2]),
+        cls_skolem(*key[:3]),
         tuple(param_skolem(key, j) for j in range(1, len(sig.params) + 1)),
         **build,
     )
@@ -173,7 +166,7 @@ def ingest_signature(store: FactStore, sig: Signature) -> int:
         if stored == sig:
             return 0
         raise KeyConflict("differing signature already stored for %s" % (key,))
-    shared = {(key.lang, key.namespace), (key.lang, key.namespace, key.class_name)}
+    shared = {key[:2], key[:3]}  # (lang, ns) and (lang, ns, class)
     added = 6 + 3 * len(sig.params) + len(shared - store._shared)
     store._shared |= shared
     store._sigs[key] = sig

@@ -244,10 +244,6 @@ def alpha_eq(f1: Formula, f2: Formula) -> bool:
 
     Atom order is significant; free variables must match verbatim.
     """
-    if len(f1.lambdas) != len(f2.lambdas):
-        return False
-    if len(f1.existentials) != len(f2.existentials):
-        return False
     return _canon(f1) == _canon(f2)
 
 
@@ -301,7 +297,6 @@ def print_formula(formula: Formula) -> str:
 
 def validate_formula(formula: Formula):
     """Check the fixed predicate arities and App placement; raise on failure."""
-    bound = set(formula.lambdas) | set(formula.existentials)
 
     def check_term(term, app_ok=False):
         if isinstance(term, App):
@@ -315,4 +310,3 @@ def validate_formula(formula: Formula):
         # Atom.__post_init__ enforces predicates and arity; check placement
         for i, arg in enumerate(atom.args):
             check_term(arg, app_ok=(atom.pred == "eq" and i == 1))
-    return bound

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 # Character set of concrete tokens, the DSL grammar's `token`.  `|` and
@@ -105,32 +106,46 @@ class Signature:
         if self.vararg and not self.params:
             # the concrete syntax only admits `,...` after at least one param
             raise ModelError("vararg requires at least one explicit param")
-        if isinstance(self.head, EquivIn) and (
-            isinstance(self.lang, Wildcard) or self.lang == UNK
-        ):
+        if isinstance(self.head, EquivIn) and isinstance(self.lang, Wildcard):
             raise ModelError("EquivIn requires a concrete source language")
         # worked out once: a KB line is checked by normalize and function_key
         object.__setattr__(self, "_ground", not_ground_reason(self) is None)
 
 
-@dataclass(frozen=True)
-class FunctionKey:
-    """Identity of a concrete function; arity keeps overloads distinct."""
+class FunctionKey(namedtuple("FunctionKey", "lang namespace class_name name arity")):
+    """Identity of a concrete function; arity keeps overloads distinct.
 
-    lang: str
-    namespace: str
-    class_name: str
-    name: str
-    arity: int
+    It equals, hashes and orders like its tuple.  Building one checks each
+    token and the arity; `_make` skips that, for tokens already checked.
+    """
 
-    def __post_init__(self):
-        for tok in (self.lang, self.namespace, self.class_name, self.name):
-            try:  # a token already parsed into a slot is not matched again
-                ground_slot(tok)
-            except ModelError:
-                raise ModelError("invalid key token: %r" % (tok,)) from None
-        if self.arity < 0:
+    __slots__ = ()
+
+    def __new__(cls, lang, namespace, class_name, name, arity):
+        for tok in (lang, namespace, class_name, name):
+            if not TOKEN_RE.fullmatch(tok):
+                raise ModelError("invalid key token: %r" % (tok,))
+        if arity < 0:
             raise ModelError("arity must be >= 0")
+        return super().__new__(cls, lang, namespace, class_name, name, arity)
+
+    @property
+    def text(self) -> str:
+        """`lang|ns|class|name|arity`, as witnesses and links files spell
+        the key; `|` lies outside the token charset, so it is injective."""
+        return "%s|%s|%s|%s|%d" % self
+
+    @classmethod
+    def parse(cls, text: str) -> FunctionKey:
+        """The key `text` spells, its language as every KB stores it."""
+        fields = text.split("|")
+        if len(fields) != 5:
+            raise ModelError("expected `lang|ns|class|name|arity`")
+        lang, namespace, class_name, name, arity = fields
+        # ASCII digits only: `int` would also read `+2`, `2_0`, ` 2` and `\u0662`
+        if not (arity.isascii() and arity.isdigit()):
+            raise ModelError("invalid arity %r" % arity)
+        return cls(lang_token(lang), namespace, class_name, name, int(arity))
 
 
 def is_ground(sig: Signature) -> bool:
@@ -153,13 +168,11 @@ def function_key(sig: Signature) -> FunctionKey:
     """Identity of a ground signature.  Vararg `...` does not count in arity."""
     if not is_ground(sig):
         raise NotGround("function_key requires a ground signature")
-    return FunctionKey(
-        lang=sig.lang.token,
-        namespace=sig.namespace.token,
-        class_name=sig.class_name.token,
-        name=sig.head.token,
-        arity=len(sig.params),
-    )
+    # a ground signature's slots are Consts, their tokens already checked
+    return FunctionKey._make((
+        sig.lang.token, sig.namespace.token, sig.class_name.token,
+        sig.head.token, len(sig.params),
+    ))
 
 
 def _slots(sig: Signature):

@@ -78,16 +78,13 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
         raise NotGround("raw input contains wildcard syntax: %r" % (raw,))
 
     head_text, args_text, args_at = _split_paren(raw, dialect)
-    words = _words(head_text, 0)
-    if dialect is Dialect.JAVA:
-        ns, cls, ret, name = _head_java(words, dialect)
-        params, vararg = _params_typed(args_text, args_at, dialect, sigils=False)
-    elif dialect is Dialect.PYTHON:
-        ns, cls, ret, name = _head_python(words, dialect)
+    ns, cls, ret, name = _head(_words(head_text, 0), dialect)
+    if dialect is Dialect.PYTHON:
         params, vararg = _params_untyped(args_text, args_at, dialect)
     else:
-        ns, cls, ret, name = _head_php(words, dialect)
-        params, vararg = _params_typed(args_text, args_at, dialect, sigils=True)
+        params, vararg = _params_typed(
+            args_text, args_at, dialect, sigils=dialect is Dialect.PHP
+        )
 
     if vararg and not params:
         raise DialectParseError(
@@ -141,36 +138,24 @@ def _words(text, start):
     return [(start + m.start(), m.group()) for m in _WORD_RE.finditer(text)]
 
 
-def _head_java(tokens, dialect):
-    # [namespace] [class] returntype name — identified from the right.
-    if not tokens or len(tokens) > 4:
-        raise DialectParseError(
-            dialect, 0, "expected `[namespace] [class] returntype name(`"
-        )
-    name = tokens[-1]
-    ret = tokens[-2] if len(tokens) >= 2 else None
-    cls = tokens[-3] if len(tokens) >= 3 else _BUILTIN
-    ns = tokens[-4] if len(tokens) >= 4 else _CORE
-    return ns, cls, ret, name
+# Each raw dialect's head: its usage text and, by word count, the slot
+# each word fills (s namespace, c class, r return type, n name).  Python
+# docs carry no return type, PHP docs no namespace or class.
+_HEADS = {
+    Dialect.JAVA: ("[namespace] [class] returntype name(", ("n", "rn", "crn", "scrn")),
+    Dialect.PYTHON: ("[module] [class] name(", ("n", "sn", "scn")),
+    Dialect.PHP: ("[returntype] name(", ("n", "rn")),
+}
 
 
-def _head_python(tokens, dialect):
-    # [module] [class] name — python docs carry no return type here.
-    if not tokens or len(tokens) > 3:
-        raise DialectParseError(dialect, 0, "expected `[module] [class] name(`")
-    name = tokens[-1]
-    cls = tokens[-2] if len(tokens) >= 3 else _BUILTIN
-    ns = tokens[0] if len(tokens) >= 2 else _CORE
-    return ns, cls, None, name
-
-
-def _head_php(tokens, dialect):
-    # returntype name — namespace and class are never written in PHP docs.
-    if not tokens or len(tokens) > 2:
-        raise DialectParseError(dialect, 0, "expected `[returntype] name(`")
-    name = tokens[-1]
-    ret = tokens[-2] if len(tokens) >= 2 else None
-    return _CORE, _BUILTIN, ret, name
+def _head(words, dialect):
+    """The (namespace, class, return type, name) words of a raw head; a
+    slot the head leaves out is its default, the return type None."""
+    usage, layouts = _HEADS[dialect]
+    if not 0 < len(words) <= len(layouts):
+        raise DialectParseError(dialect, 0, "expected `%s`" % usage)
+    slot = dict(zip(layouts[len(words) - 1], words))
+    return slot.get("s", _CORE), slot.get("c", _BUILTIN), slot.get("r"), slot["n"]
 
 
 _VARARG = ("..", "...")

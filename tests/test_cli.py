@@ -202,7 +202,7 @@ def test_equiv_source_not_found_is_an_error(kb_path, eq_path):
     assert "nothing" in err
 
 
-@pytest.mark.parametrize("arity", ["2_0", " 2", "+2", "\u0662"])
+@pytest.mark.parametrize("arity", ["2_0", " 2", "+2", "\u0662", "-1"])
 def test_links_arity_is_plain_digits(kb_path, tmp_path, arity):
     links = tmp_path / "links.txt"
     links.write_text(
@@ -217,8 +217,9 @@ def test_links_arity_is_plain_digits(kb_path, tmp_path, arity):
 
 @pytest.mark.parametrize("key, error", [
     ("java|lang|Math|max", "expected `lang|ns|class|name|arity`"),
+    ("java|lang|Math|max|2|1", "expected `lang|ns|class|name|arity`"),
     ("java|la ng|Math|max|2", "invalid key token: 'la ng'"),
-], ids=["four-fields", "bad-token"])
+], ids=["four-fields", "six-fields", "bad-token"])
 def test_bad_links_key_is_a_line_diagnostic(kb_path, tmp_path, key, error):
     links = tmp_path / "links.txt"
     links.write_text(key + "\tpython|decimal|Context|max|2\n", encoding="utf-8")
@@ -595,7 +596,7 @@ def test_byte_order_mark_is_dropped_from_stdin():
     assert _run(argv, "\ufeff" + JAVA_MAX_RAW + "\n") == (0, JAVA_MAX + "\n", "")
 
 
-_UNK_LANG_EQUIV = "UNK lang Math::EquivIn(max,php)(?) -> r?"
+_WILDCARD_LANG_EQUIV = "L? lang Math::EquivIn(max,php)(?) -> r?"
 
 
 @pytest.mark.parametrize("command", ["compile", "query", "equiv"])
@@ -604,11 +605,11 @@ def test_equiv_head_without_a_concrete_language_is_a_diagnostic(
 ):
     argv, where = {
         "compile": (["compile"], "<stdin>"),
-        "query": (["query", _UNK_LANG_EQUIV, "--kb", kb_path], "<query>"),
-        "equiv": (["equiv", _UNK_LANG_EQUIV, "--kb", kb_path, "--eq", eq_path],
+        "query": (["query", _WILDCARD_LANG_EQUIV, "--kb", kb_path], "<query>"),
+        "equiv": (["equiv", _WILDCARD_LANG_EQUIV, "--kb", kb_path, "--eq", eq_path],
                   "<query>"),
     }[command]
-    assert _run(argv, _UNK_LANG_EQUIV + "\n") == (
+    assert _run(argv, _WILDCARD_LANG_EQUIV + "\n") == (
         1, "", "%s:1: EquivIn requires a concrete source language\n" % where
     )
 
@@ -670,6 +671,49 @@ def test_unk_language_takes_part_in_an_equivalence(tmp_path):
 def test_raw_unk_language_is_not_lowercased():
     assert _run(["normalize", "--dialect", "java", "--lang", "UNK"],
                 "long f(int a)\n") == (0, "UNK core builtin::f(int:a) -> long\n", "")
+
+
+def test_unk_language_is_an_equivalence_source(tmp_path):
+    kb_file, links = tmp_path / "kb.txt", tmp_path / "links.txt"
+    kb_file.write_text(
+        "UNK core builtin::unkfn(int:a) -> int\n"
+        "java lang Math::abs(int:a) -> int\n", encoding="utf-8"
+    )
+    links.write_text("UNK|core|builtin|unkfn|1\tjava|lang|Math|abs|1\n",
+                     encoding="utf-8")
+    assert _run(["equiv", "UNK core builtin::EquivIn(unkfn,java)(?) -> r?",
+                 "--kb", str(kb_file), "--eq", str(links), "--porcelain"]) == (
+        0, "java lang Math::abs(int:a) -> int\tC=Math\tN=lang\tf'=abs\tr=int"
+           "\tr'=int\n", ""
+    )
+
+
+def test_compile_lowercases_the_language_like_the_kb():
+    lower = _run(["compile"], "java lang Math::max(long:a) -> long\n")
+    assert lower[0] == 0 and "lang(f,java)" in lower[1]
+    assert _run(["compile"], "JAVA lang Math::max(long:a) -> long\n") == lower
+    assert "lang(f,UNK)" in _run(["compile"], _UNK_LANG_SIG + "\n")[1]
+
+
+def test_results_are_in_key_order(tmp_path):
+    # by (lang, ns, class, name, arity) as a tuple: arity 2 before 10, and a
+    # name before the longer names it begins
+    ten = ",".join("int:a%d" % i for i in range(1, 11))
+    lines = [
+        "java lang M::f(%s) -> r" % ten,
+        "java lang M::f(int:a,int:b) -> r",
+        "java lang M::g$x() -> r",
+        "java lang M::g() -> r",
+    ]
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    code, out, err = _run(["query", "java lang M::n?(?) -> r",
+                           "--kb", str(kb_file), "--porcelain"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        lines[1] + "\tn=f", lines[0] + "\tn=f", lines[3] + "\tn=g",
+        lines[2] + "\tn=g$x",
+    ]
 
 
 def test_equiv_base_named_unk_matches_no_function(kb_path, eq_path):

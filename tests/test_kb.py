@@ -226,6 +226,14 @@ def test_answer_rejects_equiv_head(max_store):
         )
 
 
+def test_brute_force_answer_rejects_equiv_head(max_store):
+    with pytest.raises(UnsupportedHead):
+        brute_force_answer(
+            max_store,
+            parse_signature("java lang Math::EquivIn(max,python)(?) -> r?"),
+        )
+
+
 def test_equiv_store_reflexive_symmetric_transitive():
     eqs = EquivStore()
     a, b, c = KEY_SHIFT_JAVA, KEY_SHIFT_HASKELL, KEY_SHIFT_CLOJURE

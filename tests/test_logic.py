@@ -7,6 +7,7 @@ from siglogic.logic import (
     ArityMismatch,
     Atom,
     Formula,
+    LogicError,
     UnsupportedHead,
     Var,
     alpha_eq,
@@ -194,6 +195,25 @@ def test_expand_equiv_requires_equiv_head():
 def test_print_single_atom_formula():
     f = Formula(atoms=(Atom("fun", (Var("f"), Const("max"))),))
     assert print_formula(f) == "fun(f,max)"
+
+
+@pytest.mark.parametrize("pred, args, message", [
+    ("fn", (Var("f"), Const("max")), "unknown predicate: 'fn'"),
+    ("fun", (Var("f"),), "fun expects 2 args, got 1"),
+], ids=["unknown-predicate", "wrong-arg-count"])
+def test_atom_checks_its_predicate_and_arity(pred, args, message):
+    with pytest.raises(LogicError) as e:
+        Atom(pred, args)
+    assert str(e.value) == message
+
+
+def test_validate_formula_rejects_an_app_outside_eq():
+    app = App(Const("max"), (Var("x1"),))
+    validate_formula(Formula(atoms=(Atom("eq", (Var("v"), app)),)))
+    for atom in (Atom("eq", (app, Var("v"))), Atom("type", (Var("v"), app))):
+        with pytest.raises(LogicError) as e:
+            validate_formula(Formula(atoms=(atom,)))
+        assert str(e.value) == "App term outside the second arg of eq"
 
 
 @settings(max_examples=300, deadline=None)

@@ -91,6 +91,28 @@ def test_function_key_vararg_counts_explicit_params_only():
     assert function_key(sig) == FunctionKey("php", "core", "builtin", "max", 2)
 
 
+def test_function_key_is_its_tuple():
+    key = FunctionKey("java", "lang", "Math", "max", 2)
+    fields = ("java", "lang", "Math", "max", 2)
+    assert key == fields and hash(key) == hash(fields)
+    assert repr(key) == (
+        "FunctionKey(lang='java', namespace='lang', class_name='Math', "
+        "name='max', arity=2)"
+    )
+    assert sorted([key._replace(arity=10), key]) == [key, key._replace(arity=10)]
+
+
+@pytest.mark.parametrize("text, key", [
+    ("java|lang|Math|max|2", ("java", "lang", "Math", "max", 2)),
+    ("JAVA|lang|Math|max|0", ("java", "lang", "Math", "max", 0)),
+    ("UNK|ns|C|f|1", ("UNK", "ns", "C", "f", 1)),
+])
+def test_function_key_text_round_trips(text, key):
+    parsed = FunctionKey.parse(text)
+    assert parsed == key
+    assert FunctionKey.parse(parsed.text) == parsed
+
+
 @pytest.mark.parametrize("bad", ["has space", "", "a|b", "a?"])
 def test_function_key_rejects_bad_tokens(bad):
     for i in range(4):
