@@ -27,6 +27,7 @@ import functools
 import re
 
 from .model import (
+    UNK,
     EquivIn,
     Param,
     Signature,
@@ -147,7 +148,7 @@ def parse_signature(text: str) -> Signature:
         return _scan_signature(text)
     g = m.groups()
     params = _PARAM_RE.finditer(text, m.start(9), m.end(9)) if g[8] else ()
-    return Signature(
+    sig = Signature(
         lang=_slot(g[0], g[1]),
         namespace=_slot(g[2], g[3]),
         class_name=_slot(g[4], g[5]),
@@ -156,6 +157,11 @@ def parse_signature(text: str) -> Signature:
         vararg=g[9] is not None,
         ret=_slot(g[10], g[11]),
     )
+    if "?" not in text and g[6] != UNK.token:
+        # every `?` of a matched line is a wildcard mark, so with none and
+        # a named function the line is ground, without the slot walk
+        object.__setattr__(sig, "_ground", True)
+    return sig
 
 
 def _scan_signature(text: str) -> Signature:

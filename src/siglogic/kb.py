@@ -166,9 +166,10 @@ def ingest_signature(store: FactStore, sig: Signature) -> int:
         if stored == sig:
             return 0
         raise KeyConflict("differing signature already stored for %s" % (key,))
-    shared = {key[:2], key[:3]}  # (lang, ns) and (lang, ns, class)
-    added = 6 + 3 * len(sig.params) + len(shared - store._shared)
-    store._shared |= shared
+    ns, cls = key[:2], key[:3]  # (lang, ns) and (lang, ns, class)
+    shared = store._shared
+    added = 6 + 3 * len(sig.params) + (ns not in shared) + (cls not in shared)
+    shared.update((ns, cls))
     store._sigs[key] = sig
     store._size += added
     return added
@@ -395,11 +396,18 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
     return results
 
 
-def dump_facts(store: FactStore):
+def dump_facts(store: FactStore) -> list:
     """All facts as canonical text atoms, sorted; deterministic."""
-    # each fact is built as the line print_atom would give its Atom
-    return sorted({
-        line
-        for key, sig in store._sigs.items()
-        for line in _skolemize(key, sig, atom=call_text, app=call_text, const=str)
-    })
+    # Each fact is built once, as the line print_atom would give its Atom.
+    # Witness ids are injective, so only the facts functions share, those
+    # of a namespace or a class, can repeat: only they go through a set.
+    lines, shared = [], set()
+    for key, sig in store._sigs.items():
+        for line in _skolemize(key, sig, atom=call_text, app=call_text, const=str):
+            if line.startswith(("namespace(", "class(")):
+                shared.add(line)
+            else:
+                lines.append(line)
+    lines += shared
+    lines.sort()
+    return lines

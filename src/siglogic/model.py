@@ -108,8 +108,10 @@ class Signature:
             raise ModelError("vararg requires at least one explicit param")
         if isinstance(self.head, EquivIn) and isinstance(self.lang, Wildcard):
             raise ModelError("EquivIn requires a concrete source language")
-        # worked out once: a KB line is checked by normalize and function_key
-        object.__setattr__(self, "_ground", not_ground_reason(self) is None)
+
+    @functools.cached_property
+    def _ground(self) -> bool:  # the KB line reader sets it from its match
+        return not_ground_reason(self) is None
 
 
 class FunctionKey(namedtuple("FunctionKey", "lang namespace class_name name arity")):
@@ -145,7 +147,9 @@ class FunctionKey(namedtuple("FunctionKey", "lang namespace class_name name arit
         # ASCII digits only: `int` would also read `+2`, `2_0`, ` 2` and `\u0662`
         if not (arity.isascii() and arity.isdigit()):
             raise ModelError("invalid arity %r" % arity)
-        return cls(lang_token(lang), namespace, class_name, name, int(arity))
+        # the fields are checked as written, then the language stored
+        key = cls(lang, namespace, class_name, name, int(arity))
+        return key._replace(lang=lang_token(lang))
 
 
 def is_ground(sig: Signature) -> bool:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import siglogic
 from siglogic.cli import run
 from siglogic.dsl import parse_signature
+from siglogic.kb import FactStore, dump_facts, ingest_signature
 from siglogic.logic import compile_signature, print_formula
 
 from conftest import (
@@ -111,6 +112,23 @@ def test_console_entry_point_exit_codes():
     code, _, err = _run_script(["frobnicate"], "")
     assert code == 2
     assert "invalid choice: 'frobnicate'" in err
+
+
+def test_console_facts_equal_the_library_dump(tmp_path):
+    # enough facts to span several of the CLI's writes
+    texts = ALL_FIXTURE_SIGS + [
+        "java ns%d C%d::f%d(long:a,int:b) -> long" % (i % 3, i % 5, i)
+        for i in range(200)
+    ]
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    store = FactStore()
+    for text in texts:
+        ingest_signature(store, parse_signature(text))
+    lines = dump_facts(store)
+    assert len(lines) > 2048
+    expected = "".join(line + "\n" for line in lines)
+    assert _run_script(["facts", "--kb", str(kb_file)], "") == (0, expected, "")
 
 
 def test_package_all_lists_its_public_names():
@@ -219,7 +237,8 @@ def test_links_arity_is_plain_digits(kb_path, tmp_path, arity):
     ("java|lang|Math|max", "expected `lang|ns|class|name|arity`"),
     ("java|lang|Math|max|2|1", "expected `lang|ns|class|name|arity`"),
     ("java|la ng|Math|max|2", "invalid key token: 'la ng'"),
-], ids=["four-fields", "six-fields", "bad-token"])
+    ("JA VA|lang|Math|max|2", "invalid key token: 'JA VA'"),  # as written
+], ids=["four-fields", "six-fields", "bad-token", "bad-language"])
 def test_bad_links_key_is_a_line_diagnostic(kb_path, tmp_path, key, error):
     links = tmp_path / "links.txt"
     links.write_text(key + "\tpython|decimal|Context|max|2\n", encoding="utf-8")

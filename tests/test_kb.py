@@ -422,6 +422,40 @@ def test_fact_count_closed_form_matches_derived_facts():
         assert len(store) == total == len(dump_facts(store))
 
 
+def test_dump_facts_agrees_with_the_oracle_under_heavy_sharing():
+    # few namespaces and classes for many functions, overloads of one name
+    # at several arities, and re-ingests of stored signatures
+    from siglogic.kb import _derived_facts
+    from siglogic.logic import print_atom
+
+    rng = random.Random(17)
+    for trial in range(30):
+        store, stored = FactStore(), []
+        for _ in range(rng.randint(0, 80)):
+            if stored and rng.random() < 0.25:
+                sig = rng.choice(stored)
+            else:
+                sig = Signature(
+                    lang=_tok(rng, ["java", "php"]),
+                    namespace=_tok(rng, ["a", "a.b"]),
+                    class_name=_tok(rng, ["C", "UNK"]),
+                    head=Const(rng.choice(["f", "g"])),
+                    params=tuple(
+                        Param(_tok(rng, TYPES), _tok(rng, PARAM_NAMES))
+                        for _ in range(rng.randint(0, 4))
+                    ),
+                    ret=_tok(rng, TYPES),
+                )
+            try:
+                ingest_signature(store, sig)
+            except KeyConflict:
+                continue
+            stored.append(sig)
+        lines = dump_facts(store)
+        assert lines == sorted({print_atom(a) for a in _derived_facts(store)})
+        assert len(set(lines)) == len(lines) == len(store)
+
+
 def test_dump_empty_store():
     assert dump_facts(FactStore()) == []
 

@@ -1,5 +1,10 @@
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from siglogic import model
 from siglogic.model import (
     UNK,
     Const,
@@ -13,9 +18,12 @@ from siglogic.model import (
     function_key,
     ground_slot,
     is_ground,
+    not_ground_reason,
     wildcard_labels,
 )
-from siglogic.dsl import parse_signature
+from siglogic.dsl import parse_signature, print_signature
+
+from strategies import ground_signatures, signatures
 
 
 def test_const_rejects_bad_tokens():
@@ -70,6 +78,33 @@ def test_is_ground_false_with_wildcards():
 def test_unk_slots_count_as_ground():
     sig = parse_signature("python decimal Context::max(UNK:a,UNK:b) -> UNK")
     assert is_ground(sig)
+
+
+# wildcards, `(?)`, EquivIn and UNK heads, vararg, and ground lines whose
+# function is or is not named UNK
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    signatures(),
+    ground_signatures,
+    ground_signatures.map(lambda sig: dataclasses.replace(sig, head=UNK)),
+))
+def test_groundness_read_from_the_line_match_agrees_with_the_walk(sig):
+    # sig is built by hand, so not_ground_reason walks its slots
+    assert is_ground(parse_signature(print_signature(sig))) == (
+        not_ground_reason(sig) is None
+    )
+
+
+def test_a_ground_kb_line_is_not_walked(monkeypatch):
+    walked = []
+    monkeypatch.setattr(model, "not_ground_reason", walked.append)
+    assert is_ground(parse_signature("java lang Math::max(long:a,long:b) -> long"))
+    assert walked == []
+    # a line the match cannot vouch for, and a copy, are walked
+    unk = parse_signature("java lang Math::UNK(long:a) -> long")
+    is_ground(unk)
+    is_ground(dataclasses.replace(unk, head=Const("max")))
+    assert len(walked) == 2
 
 
 def test_function_key_fields():
