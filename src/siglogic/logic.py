@@ -10,6 +10,8 @@ over a fixed predicate inventory:
 For a ground signature with n parameters the compiler always emits
 n lambdas, 4 existentials (value, function, namespace, class entities)
 and 8 + 3n atoms.  Each distinct wildcard label adds one existential.
+No binder is spelled like a constant of its formula or like another
+binder (`_freshen`), and `beta_apply` keeps it so.
 """
 
 from __future__ import annotations
@@ -104,24 +106,28 @@ class Formula:
 
 
 def _fresh(name, taken, suffix="_e"):
+    """name with `suffix`es until it is not in the set taken, which it joins."""
     while name in taken:
         name += suffix
+    taken.add(name)
     return name
 
 
-def binder_names(sig: Signature):
-    """Fixed binder spellings for compile(sig).
+def _freshen(kept, fixed, atoms) -> tuple:
+    """The spellings of the binders `kept + fixed` of atoms, in order.
 
-    Returns (lambda_names, entity_names) where entity_names maps the four
-    roles 'v', 'f', 'n', 'c' to their variable spellings.  A fixed name
-    colliding with a wildcard label gets `_e` suffixes until distinct.
+    A kept name keeps its spelling unless a constant of atoms has it.
+    That name, and then each fixed name, takes `_e` suffixes until it
+    differs from every constant and every binder.
     """
-    labels = set(wildcard_labels(sig))
-    lambdas = tuple(
-        _fresh("x%d" % j, labels) for j in range(1, len(sig.params) + 1)
+    terms = [t for a in atoms for t in a.args]
+    terms += [u for t in terms if isinstance(t, App) for u in (t.fn, *t.args)]
+    consts = {t.token for t in terms if isinstance(t, Const)}
+    taken = consts | set(kept)
+    return tuple(
+        _fresh(x, taken) if i >= len(kept) or x in consts else x
+        for i, x in enumerate(kept + fixed)
     )
-    entities = {role: _fresh(role, labels) for role in ("v", "f", "n", "c")}
-    return lambdas, entities
 
 
 def call_text(name: str, args) -> str:
@@ -164,36 +170,28 @@ def signature_atoms(sig: Signature, v, f, n, c, xs,
 
 
 def compile_signature(sig: Signature) -> Formula:
-    """Translate a signature into its prenex logic formula."""
+    """Translate a signature into its prenex logic formula.
+
+    `_freshen` names its binders: a wildcard label keeps its spelling
+    unless a constant of the formula has it, and the fixed names `v`, `f`,
+    `n`, `c` and `x1…xn` give way to the constants and the labels.
+    """
     if isinstance(sig.head, EquivInHead):
         raise UnsupportedHead("EquivIn heads expand via expand_equiv")
-
-    lambdas, ent = binder_names(sig)
-    v, f, n, c = ent["v"], ent["f"], ent["n"], ent["c"]
-    labels = wildcard_labels(sig)
-    existentials = (v, f, n, c) + tuple(labels)
-    atoms = signature_atoms(
-        sig, Var(v), Var(f), Var(n), Var(c), tuple(Var(x) for x in lambdas)
+    labels = tuple(wildcard_labels(sig))
+    fixed = ("v", "f", "n", "c") + tuple(
+        "x%d" % j for j in range(1, len(sig.params) + 1)
     )
-    if labels:
-        # A label keeps its spelling unless one of the formula's constants
-        # is spelled alike: its binder would capture that constant in the
-        # printed text, so it gets `_e` suffixes until fresh.
-        consts = {
-            t.token for a in atoms for t in a.args if isinstance(t, Const)
-        }
-        taken = consts | set(existentials) | set(lambdas)
-        renamed = {}
-        for label in labels:
-            if label in consts:
-                renamed[label] = _fresh(label, taken)
-                taken.add(renamed[label])
-        atoms = subst_atoms(atoms, {k: Var(x) for k, x in renamed.items()})
-        existentials = tuple(renamed.get(x, x) for x in existentials)
+    # until it is named, the i-th fixed binder is Var(i): no label is an int
+    v, f, n, c, *xs = map(Var, range(len(fixed)))
+    atoms = signature_atoms(sig, v, f, n, c, tuple(xs))
+    names = _freshen(labels, fixed, atoms)
+    binders = dict(zip(labels + tuple(range(len(fixed))), map(Var, names)))
+    k = len(labels)
     return Formula(
-        lambdas=lambdas,
-        existentials=existentials,
-        atoms=atoms,
+        lambdas=names[k + 4:],
+        existentials=names[k:k + 4] + names[:k],
+        atoms=subst_atoms(atoms, binders),
         arity_unconstrained=sig.params_wildcard,
         min_arity=sig.vararg,
     )
@@ -215,28 +213,27 @@ def subst_atoms(atoms, mapping):
 
 
 def beta_apply(formula: Formula, args) -> Formula:
-    """Substitute constants for the lambda-bound parameters."""
+    """Substitute constants for the lambda-bound parameters, then rename
+    (by `_freshen`) each existential spelled like a constant."""
     args = tuple(args)
     if len(args) != len(formula.lambdas):
         raise ArityMismatch(
             "formula expects %d args, got %d" % (len(formula.lambdas), len(args))
         )
-    mapping = dict(zip(formula.lambdas, args))
-    return replace(formula, lambdas=(), atoms=subst_atoms(formula.atoms, mapping))
+    atoms = subst_atoms(formula.atoms, dict(zip(formula.lambdas, args)))
+    existentials = _freshen(formula.existentials, (), atoms)
+    renamed = dict(zip(formula.existentials, map(Var, existentials)))
+    atoms = subst_atoms(atoms, renamed)
+    return replace(formula, lambdas=(), existentials=existentials, atoms=atoms)
 
 
 def _canon(formula: Formula) -> Formula:
-    bound = tuple(formula.lambdas) + tuple(formula.existentials)
-    mapping = {name: Var("b%d" % i) for i, name in enumerate(bound)}
-    return replace(
-        formula,
-        lambdas=tuple("b%d" % i for i in range(len(formula.lambdas))),
-        existentials=tuple(
-            "b%d" % i
-            for i in range(len(formula.lambdas), len(bound))
-        ),
-        atoms=subst_atoms(formula.atoms, mapping),
-    )
+    # each binder becomes its position, an int: no free Var is spelled so
+    bound = formula.lambdas + formula.existentials
+    k = len(formula.lambdas)
+    atoms = subst_atoms(formula.atoms, {x: Var(i) for i, x in enumerate(bound)})
+    return replace(formula, lambdas=range(k), existentials=range(k, len(bound)),
+                   atoms=atoms)
 
 
 def alpha_eq(f1: Formula, f2: Formula) -> bool:

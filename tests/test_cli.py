@@ -711,7 +711,8 @@ def test_compile_lowercases_the_language_like_the_kb():
     lower = _run(["compile"], "java lang Math::max(long:a) -> long\n")
     assert lower[0] == 0 and "lang(f,java)" in lower[1]
     assert _run(["compile"], "JAVA lang Math::max(long:a) -> long\n") == lower
-    assert "lang(f,UNK)" in _run(["compile"], _UNK_LANG_SIG + "\n")[1]
+    # that function is named f, so the function binder is f_e
+    assert "lang(f_e,UNK)" in _run(["compile"], _UNK_LANG_SIG + "\n")[1]
 
 
 def test_results_are_in_key_order(tmp_path):

@@ -43,14 +43,14 @@ GOLDEN_FORMULAS = [
     "class(c,builtin) & in_class(f,c) & namespace(n,Data.Bits) & "
     "in_namespace(f,n) & var(x1,a) & type(x1,UNK) & has_param(f,x1,1) & "
     "var(x2,UNK) & type(x2,Int) & has_param(f,x2,2)",
-    "lam x1 . ex v . ex f . ex n . ex c . fun(f,shiftLeft) & "
+    "lam x1 . ex v . ex f . ex n_e . ex c . fun(f,shiftLeft) & "
     "eq(v,shiftLeft(x1)) & lang(f,java) & type(v,BigInteger) & "
-    "class(c,BigInteger) & in_class(f,c) & namespace(n,java.math) & "
-    "in_namespace(f,n) & var(x1,n) & type(x1,int) & has_param(f,x1,1)",
-    "lam x1 . lam x2 . ex v . ex f . ex n . ex c . fun(f,bit-shift-left) & "
+    "class(c,BigInteger) & in_class(f,c) & namespace(n_e,java.math) & "
+    "in_namespace(f,n_e) & var(x1,n) & type(x1,int) & has_param(f,x1,1)",
+    "lam x1 . lam x2 . ex v . ex f . ex n_e . ex c . fun(f,bit-shift-left) & "
     "eq(v,bit-shift-left(x1,x2)) & lang(f,clojure) & type(v,UNK) & "
-    "class(c,builtin) & in_class(f,c) & namespace(n,clojure.core) & "
-    "in_namespace(f,n) & var(x1,x) & type(x1,UNK) & has_param(f,x1,1) & "
+    "class(c,builtin) & in_class(f,c) & namespace(n_e,clojure.core) & "
+    "in_namespace(f,n_e) & var(x1,x) & type(x1,UNK) & has_param(f,x1,1) & "
     "var(x2,n) & type(x2,UNK) & has_param(f,x2,2)",
     "lam x1 . lam x2 . ex v . ex f_e . ex n . ex c . ex N . ex C . ex f . "
     "ex p . fun(f_e,f) & eq(v,f(x1,x2)) & lang(f_e,java) & type(v,long) & "

@@ -778,9 +778,7 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
     from siglogic.kb import (
         _skolemize, cls_skolem, fn_skolem, param_skolem, ret_skolem,
     )
-    from siglogic.logic import (
-        binder_names, compile_signature, print_atom, subst_atoms,
-    )
+    from siglogic.logic import compile_signature, print_atom, subst_atoms
     from siglogic.model import function_key
 
     rng = random.Random(11)
@@ -807,16 +805,17 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
 
     store, expected = FactStore(), set()
     for key, sig in sigs.items():
-        lambdas, ent = binder_names(sig)
+        formula = compile_signature(sig)
+        v, f, n, c = formula.existentials[:4]
         witness = {
-            ent["v"]: ret_skolem(key),
-            ent["f"]: fn_skolem(key),
-            ent["n"]: ns_skolem(key.lang, key.namespace),
-            ent["c"]: cls_skolem(key.lang, key.namespace, key.class_name),
+            v: ret_skolem(key),
+            f: fn_skolem(key),
+            n: ns_skolem(key.lang, key.namespace),
+            c: cls_skolem(key.lang, key.namespace, key.class_name),
         }
-        for j, x in enumerate(lambdas, start=1):
+        for j, x in enumerate(formula.lambdas, start=1):
             witness[x] = param_skolem(key, j)
-        atoms = subst_atoms(compile_signature(sig).atoms, witness)
+        atoms = subst_atoms(formula.atoms, witness)
         assert _skolemize(key, sig) == atoms
         expected |= set(atoms)
         ingest_signature(store, sig)

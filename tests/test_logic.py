@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siglogic.dsl import parse_signature
 from siglogic.logic import (
@@ -17,9 +18,9 @@ from siglogic.logic import (
     print_formula,
     validate_formula,
 )
-from siglogic.model import Const, Wildcard
+from siglogic.model import Const, EquivIn, Wildcard
 
-from strategies import ground_signatures, signatures
+from strategies import ground_signatures, signatures, tokens
 
 JAVA_MAX = "java lang Math::max(long:a,long:b) -> long"
 
@@ -125,6 +126,15 @@ def test_beta_apply_substitutes_everywhere():
     ) in applied.atoms
 
 
+def test_beta_apply_renames_an_existential_spelled_like_an_argument():
+    applied = beta_apply(_java_max_formula(), [Const("f"), Const("v")])
+    assert applied.existentials == ("v_e", "f_e", "n", "c")
+    assert Atom("has_param", (Var("f_e"), Const("f"), Const("1"))) in applied.atoms
+    assert Atom("eq", (
+        Var("v_e"), App(Const("max"), (Const("f"), Const("v")))
+    )) in applied.atoms
+
+
 def test_beta_apply_zero_args_is_identity():
     f = compile_signature(parse_signature("java lang Math::now() -> long"))
     assert beta_apply(f, []) == f
@@ -153,6 +163,14 @@ def test_alpha_eq_order_sensitive():
 def test_alpha_eq_distinguishes_free_variables():
     a = Formula(existentials=("v",), atoms=(Atom("fun", (Var("v"), Var("free"))),))
     b = Formula(existentials=("v",), atoms=(Atom("fun", (Var("v"), Var("other"))),))
+    assert not alpha_eq(a, b)
+
+
+def test_alpha_eq_keeps_free_variables_apart_from_bound_ones():
+    # x and y are bound, b0 is free in both: a canonical name for a binder
+    # must not be a name a free variable can have
+    a = Formula(existentials=("x",), atoms=(Atom("var", (Var("x"), Var("b0"))),))
+    b = Formula(existentials=("y",), atoms=(Atom("var", (Var("b0"), Var("y"))),))
     assert not alpha_eq(a, b)
 
 
@@ -314,3 +332,44 @@ def test_label_spelled_like_a_constant_is_not_captured():
     assert f1.existentials[4:] == ("00", "000_e")
     assert Atom("var", (Var("x1"), Var("000_e"))) in f1.atoms
     assert Atom("fun", (Var("f"), Const("000"))) in f1.atoms
+
+
+def test_fixed_binders_give_way_to_constants():
+    f = compile_signature(parse_signature("java v Math::f(int:c) -> n"))
+    assert print_formula(f) == (
+        "lam x1 . ex v_e . ex f_e . ex n_e . ex c_e . fun(f_e,f) & "
+        "eq(v_e,f(x1)) & lang(f_e,java) & type(v_e,n) & class(c_e,Math) & "
+        "in_class(f_e,c_e) & namespace(n_e,v) & in_namespace(f_e,n_e) & "
+        "var(x1,c) & type(x1,int) & has_param(f_e,x1,1)"
+    )
+
+
+def _assert_binders_fresh(formula):
+    binders = formula.lambdas + formula.existentials
+    assert len(set(binders)) == len(binders)
+    terms = [t for a in formula.atoms for t in a.args]
+    terms += [u for t in terms if isinstance(t, App) for u in (t.fn, *t.args)]
+    consts = {t.token for t in terms if isinstance(t, Const)}
+    assert not consts & set(binders)
+
+
+# arguments for beta_apply, often spelled like a fixed binder
+_arg_tokens = st.one_of(st.sampled_from(["v", "f", "n", "c", "x1", "x2"]), tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signatures(), st.lists(_arg_tokens, min_size=4, max_size=4))
+@example(
+    parse_signature("java java.math BigInteger::shiftLeft(int:n) -> BigInteger"),
+    ["a", "b", "c", "d"],
+)
+@example(parse_signature("java lang Math::max(int:x1) -> long"), ["a"] * 4)
+@example(parse_signature("java v Math::f(int:c) -> n"), ["a"] * 4)
+@example(parse_signature(JAVA_MAX), ["f", "v", "a", "a"])
+def test_no_binder_is_spelled_like_a_constant(sig, arg_tokens):
+    if isinstance(sig.head, EquivIn):
+        return
+    f = compile_signature(sig)
+    _assert_binders_fresh(f)
+    args = [Const(t) for t in arg_tokens[:len(f.lambdas)]]
+    _assert_binders_fresh(beta_apply(f, args))
