@@ -187,9 +187,13 @@ def _load_kb(path, text) -> kb.FactStore:
     store = kb.FactStore()
     for lineno, line in _lines(text):
         try:
-            kb.ingest_signature(
-                store, normalizer.normalize(line, Dialect.NORMALIZED)
-            )
+            read = dsl.read_row(line)
+            if read is None:  # not ground; normalize says why
+                kb.ingest_signature(
+                    store, normalizer.normalize(line, Dialect.NORMALIZED)
+                )
+            else:
+                kb.ingest_row(store, *read)
         except _INPUT_ERRORS as e:
             raise _LineError(path, lineno, str(e))
     return store

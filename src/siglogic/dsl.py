@@ -18,7 +18,9 @@ line and every printed ground signature has, is read by one whole-line
 match (`_LINE_RE`).  Any other text (an `EquivIn(` head, a `(?)` list,
 a malformed line) falls back to the scanner, which is also the only
 source of every ParseError.  Both paths share one value per distinct
-token and one frozen Param per distinct (type, name).
+token and one frozen Param per distinct (type, name).  The KB reads a
+ground line from the same match into a row of token strings, with no
+Signature (`read_row`).
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ import functools
 import re
 
 from .model import (
-    UNK,
     EquivIn,
+    FunctionKey,
     Param,
     Signature,
     SlotValue,
     TOKEN_RE,
     Wildcard,
     ground_slot,
+    lang_token,
 )
 
 
@@ -148,7 +151,7 @@ def parse_signature(text: str) -> Signature:
         return _scan_signature(text)
     g = m.groups()
     params = _PARAM_RE.finditer(text, m.start(9), m.end(9)) if g[8] else ()
-    sig = Signature(
+    return Signature(
         lang=_slot(g[0], g[1]),
         namespace=_slot(g[2], g[3]),
         class_name=_slot(g[4], g[5]),
@@ -157,11 +160,35 @@ def parse_signature(text: str) -> Signature:
         vararg=g[9] is not None,
         ret=_slot(g[10], g[11]),
     )
-    if "?" not in text and g[6] != UNK.token:
-        # every `?` of a matched line is a wildcard mark, so with none and
-        # a named function the line is ground, without the slot walk
-        object.__setattr__(sig, "_ground", True)
-    return sig
+
+
+@functools.cache
+def _pair(groups) -> tuple:
+    """One shared (type, name) tuple per distinct `_PARAM_RE` match."""
+    return ground_slot(groups[0]).token, ground_slot(groups[2]).token
+
+
+def read_row(text: str):
+    """The FunctionKey and token row (`logic.signature_row`) of a ground
+    line, its language as every KB stores it (`lang_token`), or None.
+
+    Every `?` of a matched line is a wildcard mark, so a matched line with
+    none and a named function is ground.  Each token is the one the
+    model's shared `Const` holds (`ground_slot`), and each (type, name)
+    pair one shared tuple.
+    """
+    m = _LINE_RE.fullmatch(text)
+    if m is None or "?" in text:
+        return None
+    g = m.groups()
+    if g[6] == "UNK":
+        return None
+    lang, namespace, class_name, name, ret = [
+        ground_slot(tok).token for tok in (lang_token(g[0]), g[2], g[4], g[6], g[10])
+    ]
+    params = tuple(map(_pair, _PARAM_RE.findall(text, *m.span(9)))) if g[8] else ()
+    key = FunctionKey._make((lang, namespace, class_name, name, len(params)))
+    return key, (lang, namespace, class_name, name, ret, params, g[9] is not None)
 
 
 def _scan_signature(text: str) -> Signature:

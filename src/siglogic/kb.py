@@ -1,19 +1,21 @@
 """Ground-fact knowledge base and conjunctive query answering.
 
-The store of record is a table of the ingested signatures by FunctionKey.
-Its facts are derived on demand by skolemizing each signature: the atom
-layout its compiled formula has (`logic.signature_atoms`) is laid out
-over witnesses in place of binders.  That layout has two callers,
-`compile_signature` and `_skolemize`, and takes its builders as the
-arguments `atom`, `app` and `const`.  The oracle path (`FactStore.facts`,
-`brute_force_answer`) keeps the defaults and builds `Atom`s;
-`dump_facts` passes `call_text` and `str`, so each fact is built as its
-printed line.  A witness is a plain string derived from the function's
-identity (a `str` never equals a `Const`, so a witness cannot pass for
-a token).  Namespace witnesses are shared across functions of the same
-(lang, namespace); class witnesses across (lang, namespace, class).
-Queries are signatures with wildcards.  Each is read once into a matcher
-(`_matcher`), run over the table, that checks a stored signature's arity
+The store is a table of the ingested functions by FunctionKey, each a
+flat row of shared token strings (`logic.signature_row`); the KB text
+stays the only store of record.  The CLI reads a ground KB line straight
+into its row (`dsl.read_row`), and a Signature is built again only for a
+printed result (`reconstruct_signature`).  Facts are derived on demand:
+a row's atom layout (`logic.signature_atoms`, which `compile_signature`
+lays out over binders) is laid out over witnesses.  `dump_facts` passes
+it the stored strings and `call_text` and `str` as builders, so each
+fact is built as its printed line; the oracle path (`FactStore.facts`,
+`brute_force_answer`) passes `Const`s and builds `Atom`s.  A witness is
+a plain string derived from the function's identity (a `str` never
+equals a `Const`, so a witness cannot pass for a token).  Namespace
+witnesses are shared across functions of the same (lang, namespace);
+class witnesses across (lang, namespace, class).  Queries are
+signatures with wildcards.  Each is read once into a matcher
+(`_matcher`), run over the rows, that checks a stored function's arity
 and the query's constant slots before it binds any label.  The
 backtracking unifier of the query's compiled atoms against the facts is
 kept as the oracle, `brute_force_answer`.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import inf
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .logic import (
     App,
@@ -37,14 +39,17 @@ from .logic import (
     compile_signature,
     expand_equiv,
     signature_atoms,
+    signature_row,
 )
 from .model import (
     Const,
     EquivIn,
     FunctionKey,
+    Param,
     Signature,
     Wildcard,
     function_key,
+    ground_slot,
     wildcard_labels,
 )
 
@@ -101,7 +106,9 @@ class Binding:
 
 
 class FactStore:
-    """Ingested signatures by FunctionKey; their facts are derived on demand.
+    """Ingested functions by FunctionKey, each a row of token strings
+    `(lang, namespace, class, name, ret, ((type, name), …), vararg)`;
+    their facts are derived on demand.
 
     Besides the table the store keeps a running count of the facts and the
     (lang, namespace) and (lang, namespace, class) identities seen: their
@@ -109,7 +116,7 @@ class FactStore:
     """
 
     def __init__(self):
-        self._sigs = {}
+        self._rows = {}
         self._shared = set()
         self._size = 0
 
@@ -118,7 +125,7 @@ class FactStore:
 
     @property
     def keys(self):
-        return self._sigs.keys()
+        return self._rows.keys()
 
     def facts(self, pred: str, first: Term = None):
         """The derived facts with predicate `pred` (and first arg `first`)."""
@@ -128,56 +135,71 @@ class FactStore:
         )
 
 
-def _skolemize(key: FunctionKey, sig: Signature, **build):
-    """The ground atoms of one stored signature.
+def _skolemize(key: FunctionKey, row, **build):
+    """The ground atoms of one stored function, from its row of terms.
 
     They are the shared atom layout (`signature_atoms`, which
     `compile_signature` lays out over binders) over its witnesses; `build`
     passes on that layout's builders.
     """
     return signature_atoms(
-        sig,
+        row,
         ret_skolem(key),
         fn_skolem(key),
         ns_skolem(*key[:2]),
         cls_skolem(*key[:3]),
-        tuple(param_skolem(key, j) for j in range(1, len(sig.params) + 1)),
+        tuple(param_skolem(key, j) for j in range(1, len(row[5]) + 1)),
         **build,
     )
 
 
 def _derived_facts(store: FactStore) -> set:
+    # each function's terms as compile_signature reads them: Consts
     return {
-        atom for key, sig in store._sigs.items() for atom in _skolemize(key, sig)
+        atom for key in store.keys
+        for atom in _skolemize(key, signature_row(reconstruct_signature(store, key)))
     }
 
 
+_token = attrgetter("token")
+
+
 def ingest_signature(store: FactStore, sig: Signature) -> int:
-    """Store sig, compiling nothing; returns how many facts it adds.
+    """Store sig as a row of its tokens (`ingest_row`), compiling nothing."""
+    key = function_key(sig)  # raises NotGround for a non-ground signature
+    return ingest_row(store, key, signature_row(sig, _token))
+
+
+def ingest_row(store: FactStore, key: FunctionKey, row) -> int:
+    """Store a ground function's token row under its key; returns how many
+    facts it adds.
 
     That is 6 + 3n for n params, plus its namespace and class atoms when
-    they are new.  Re-ingesting the identical signature adds nothing; any
-    other signature under a stored key, even one differing only in the
-    vararg flag, raises KeyConflict.
+    they are new.  Re-ingesting the identical row adds nothing; any other
+    row under a stored key, even one differing only in the vararg flag,
+    raises KeyConflict.
     """
-    key = function_key(sig)  # raises NotGround for a non-ground signature
-    stored = store._sigs.get(key)
+    stored = store._rows.get(key)
     if stored is not None:
-        if stored == sig:
+        if stored == row:
             return 0
         raise KeyConflict("differing signature already stored for %s" % (key,))
     ns, cls = key[:2], key[:3]  # (lang, ns) and (lang, ns, class)
     shared = store._shared
-    added = 6 + 3 * len(sig.params) + (ns not in shared) + (cls not in shared)
+    added = 6 + 3 * len(row[5]) + (ns not in shared) + (cls not in shared)
     shared.update((ns, cls))
-    store._sigs[key] = sig
+    store._rows[key] = row
     store._size += added
     return added
 
 
 def reconstruct_signature(store: FactStore, key: FunctionKey) -> Signature:
     """The signature ingested under `key`, exactly as it was ingested."""
-    return store._sigs[key]
+    lang, namespace, class_name, name, ret, params, vararg = store._rows[key]
+    c = ground_slot
+    params = tuple(Param(c(t), c(n)) for t, n in params)
+    return Signature(c(lang), c(namespace), c(class_name), c(name), params,
+                     vararg=vararg, ret=c(ret))
 
 
 class EquivStore:
@@ -256,8 +278,8 @@ def answer(store: FactStore, query: Signature) -> set:
         raise UnsupportedHead("EquivIn queries go through answer_equiv")
     match = _matcher(query)
     results = set()
-    for key, sig in store._sigs.items():
-        binds = match(sig)
+    for key, row in store._rows.items():
+        binds = match(row)
         if binds is not None:
             results.add(Binding(key, tuple(binds.items())))
     return results
@@ -336,37 +358,32 @@ def _ground_token(term: Term) -> str:
 
 
 def _matcher(query: Signature):
-    """A function from a stored signature to the bindings of the query's
+    """A function from a stored row to the bindings of the query's
     wildcards against it, or None when it does not match.
 
     The query is read once.  Each call compares the arity first, then the
     query's constant (and UNK) slots, and binds labels only after all of
     those hold, into one fresh dict.
     """
-    pairs = [
-        (query.lang, attrgetter("lang.token")),
-        (query.namespace, attrgetter("namespace.token")),
-        (query.class_name, attrgetter("class_name.token")),
-        (query.head, attrgetter("head.token")),
-        (query.ret, attrgetter("ret.token")),
-    ]
+    slots = (query.lang, query.namespace, query.class_name, query.head, query.ret)
+    pairs = list(zip(slots, map(itemgetter, range(5))))
     for i, p in enumerate(query.params):
-        pairs.append((p.type_slot, lambda sig, i=i: sig.params[i].type_slot.token))
-        pairs.append((p.name_slot, lambda sig, i=i: sig.params[i].name_slot.token))
+        pairs.append((p.type_slot, lambda row, i=i: row[5][i][0]))
+        pairs.append((p.name_slot, lambda row, i=i: row[5][i][1]))
     consts = [(read, s.token) for s, read in pairs if not isinstance(s, Wildcard)]
     labels = [(read, s.label) for s, read in pairs if isinstance(s, Wildcard)]
     least = len(query.params)
     most = inf if query.params_wildcard or query.vararg else least
 
-    def match(sig: Signature):
-        if not least <= len(sig.params) <= most:
+    def match(row):
+        if not least <= len(row[5]) <= most:
             return None
         for read, token in consts:
-            if read(sig) != token:
+            if read(row) != token:
                 return None
         binds = {}
         for read, label in labels:
-            token = read(sig)
+            token = read(row)
             if binds.setdefault(label, token) != token:
                 return None
         return binds
@@ -387,10 +404,10 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
     results = set()
     for source in sources:
         for member in eqs.class_of(source.key):
-            member_sig = facts._sigs.get(member)
-            if member_sig is None:
+            row = facts._rows.get(member)
+            if row is None:
                 continue
-            binds = match(member_sig)
+            binds = match(row)
             if binds is not None:
                 results.add(Binding(member, source.items + tuple(binds.items())))
     return results
@@ -402,8 +419,8 @@ def dump_facts(store: FactStore) -> list:
     # Witness ids are injective, so only the facts functions share, those
     # of a namespace or a class, can repeat: only they go through a set.
     lines, shared = [], set()
-    for key, sig in store._sigs.items():
-        for line in _skolemize(key, sig, atom=call_text, app=call_text, const=str):
+    for key, row in store._rows.items():
+        for line in _skolemize(key, row, atom=call_text, app=call_text, const=str):
             if line.startswith(("namespace(", "class(")):
                 shared.add(line)
             else:

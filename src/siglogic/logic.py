@@ -11,7 +11,8 @@ For a ground signature with n parameters the compiler always emits
 n lambdas, 4 existentials (value, function, namespace, class entities)
 and 8 + 3n atoms.  Each distinct wildcard label adds one existential.
 No binder is spelled like a constant of its formula or like another
-binder (`_freshen`), and `beta_apply` keeps it so.
+binder (`_freshen`), and `beta_apply` keeps it so, nor like a variable
+it substitutes.
 """
 
 from __future__ import annotations
@@ -113,19 +114,20 @@ def _fresh(name, taken, suffix="_e"):
     return name
 
 
-def _freshen(kept, fixed, atoms) -> tuple:
+def _freshen(kept, fixed, atoms, free=()) -> tuple:
     """The spellings of the binders `kept + fixed` of atoms, in order.
 
-    A kept name keeps its spelling unless a constant of atoms has it.
-    That name, and then each fixed name, takes `_e` suffixes until it
-    differs from every constant and every binder.
+    A kept name keeps its spelling unless a constant of atoms, or a free
+    variable named in `free`, has it.  That name, and then each fixed
+    name, takes `_e` suffixes until it differs from every such name and
+    every binder.
     """
     terms = [t for a in atoms for t in a.args]
     terms += [u for t in terms if isinstance(t, App) for u in (t.fn, *t.args)]
-    consts = {t.token for t in terms if isinstance(t, Const)}
-    taken = consts | set(kept)
+    names = {t.token for t in terms if isinstance(t, Const)}.union(free)
+    taken = names | set(kept)
     return tuple(
-        _fresh(x, taken) if i >= len(kept) or x in consts else x
+        _fresh(x, taken) if i >= len(kept) or x in names else x
         for i, x in enumerate(kept + fixed)
     )
 
@@ -135,36 +137,48 @@ def call_text(name: str, args) -> str:
     return "%s(%s)" % (name, ",".join(args))
 
 
-def signature_atoms(sig: Signature, v, f, n, c, xs,
+def _term(slot):
+    return Var(slot.label) if isinstance(slot, Wildcard) else slot
+
+
+def signature_row(sig: Signature, term=_term) -> tuple:
+    """sig as a row `(lang, namespace, class, name, ret, ((type, name), …),
+    vararg)`, each slot through `term`: by default its formula term (a
+    `Var` for a wildcard, else the `Const`); the KB stores token rows."""
+    return (
+        term(sig.lang), term(sig.namespace), term(sig.class_name),
+        term(sig.head), term(sig.ret),
+        tuple((term(p.type_slot), term(p.name_slot)) for p in sig.params),
+        sig.vararg,
+    )
+
+
+def signature_atoms(row, v, f, n, c, xs,
                     atom=Atom, app=App, const=ground_slot) -> tuple:
-    """The 8 + 3n atoms of sig over the given terms.
+    """The 8 + 3n atoms of a signature's row of terms (`signature_row`).
 
     v, f, n and c stand for the value, function, namespace and class
     entities, xs for the parameters in order: binder variables when
     `compile_signature` compiles, witnesses when the KB skolemizes a
-    stored signature.  `atom`, `app` and `const` build each atom, the
-    application in `eq` and each constant: model objects by default, and
-    their printed text (`call_text`, `str`) for `kb.dump_facts`.
+    stored row.  `atom`, `app` and `const` build each atom, the
+    application in `eq` and each `has_param` position: model objects by
+    default, and their printed text (`call_text`, `str`) for
+    `kb.dump_facts`, which passes the stored token strings as terms.
     """
-    def term(slot):
-        if isinstance(slot, Wildcard):
-            return Var(slot.label)
-        return const(slot.token)
-
-    fname = term(sig.head)
+    lang, namespace, class_name, name, ret, params, _ = row
     atoms = [
-        atom("fun", (f, fname)),
-        atom("eq", (v, app(fname, xs))),
-        atom("lang", (f, term(sig.lang))),
-        atom("type", (v, term(sig.ret))),
-        atom("class", (c, term(sig.class_name))),
+        atom("fun", (f, name)),
+        atom("eq", (v, app(name, xs))),
+        atom("lang", (f, lang)),
+        atom("type", (v, ret)),
+        atom("class", (c, class_name)),
         atom("in_class", (f, c)),
-        atom("namespace", (n, term(sig.namespace))),
+        atom("namespace", (n, namespace)),
         atom("in_namespace", (f, n)),
     ]
-    for i, (p, x) in enumerate(zip(sig.params, xs), 1):
-        atoms.append(atom("var", (x, term(p.name_slot))))
-        atoms.append(atom("type", (x, term(p.type_slot))))
+    for i, ((type_term, name_term), x) in enumerate(zip(params, xs), 1):
+        atoms.append(atom("var", (x, name_term)))
+        atoms.append(atom("type", (x, type_term)))
         atoms.append(atom("has_param", (f, x, const(str(i)))))
     return tuple(atoms)
 
@@ -184,7 +198,7 @@ def compile_signature(sig: Signature) -> Formula:
     )
     # until it is named, the i-th fixed binder is Var(i): no label is an int
     v, f, n, c, *xs = map(Var, range(len(fixed)))
-    atoms = signature_atoms(sig, v, f, n, c, tuple(xs))
+    atoms = signature_atoms(signature_row(sig), v, f, n, c, tuple(xs))
     names = _freshen(labels, fixed, atoms)
     binders = dict(zip(labels + tuple(range(len(fixed))), map(Var, names)))
     k = len(labels)
@@ -213,17 +227,22 @@ def subst_atoms(atoms, mapping):
 
 
 def beta_apply(formula: Formula, args) -> Formula:
-    """Substitute constants for the lambda-bound parameters, then rename
-    (by `_freshen`) each existential spelled like a constant."""
+    """Substitute the arguments for the lambda-bound parameters, and rename
+    (by `_freshen`) each existential spelled like a constant or like a
+    free variable of the arguments, so that none of them is captured."""
     args = tuple(args)
     if len(args) != len(formula.lambdas):
         raise ArityMismatch(
             "formula expects %d args, got %d" % (len(formula.lambdas), len(args))
         )
-    atoms = subst_atoms(formula.atoms, dict(zip(formula.lambdas, args)))
-    existentials = _freshen(formula.existentials, (), atoms)
-    renamed = dict(zip(formula.existentials, map(Var, existentials)))
-    atoms = subst_atoms(atoms, renamed)
+    binds = dict(zip(formula.lambdas, args))
+    free = [a.name for a in args if isinstance(a, Var)]
+    existentials = _freshen(
+        formula.existentials, (), subst_atoms(formula.atoms, binds), free
+    )
+    # one simultaneous substitution: an argument's variable is never renamed
+    binds.update(zip(formula.existentials, map(Var, existentials)))
+    atoms = subst_atoms(formula.atoms, binds)
     return replace(formula, lambdas=(), existentials=existentials, atoms=atoms)
 
 

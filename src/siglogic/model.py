@@ -109,10 +109,6 @@ class Signature:
         if isinstance(self.head, EquivIn) and isinstance(self.lang, Wildcard):
             raise ModelError("EquivIn requires a concrete source language")
 
-    @functools.cached_property
-    def _ground(self) -> bool:  # the KB line reader sets it from its match
-        return not_ground_reason(self) is None
-
 
 class FunctionKey(namedtuple("FunctionKey", "lang namespace class_name name arity")):
     """Identity of a concrete function; arity keeps overloads distinct.
@@ -154,7 +150,7 @@ class FunctionKey(namedtuple("FunctionKey", "lang namespace class_name name arit
 
 def is_ground(sig: Signature) -> bool:
     """True iff sig names its function and has no wildcard; UNK is ground."""
-    return sig._ground
+    return not_ground_reason(sig) is None
 
 
 def not_ground_reason(sig: Signature) -> str | None:

@@ -28,7 +28,6 @@ from .model import (
     Signature,
     TOKEN_RE,
     ground_slot,
-    is_ground,
     lang_token,
     not_ground_reason,
 )
@@ -66,10 +65,9 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
                 dialect, e.byte_offset,
                 "expected %s, found %s" % (e.expected, e.found),
             ) from e
-        if not is_ground(sig):
-            raise NotGround(
-                "normalized input %s: %r" % (not_ground_reason(sig), raw)
-            )
+        reason = not_ground_reason(sig)
+        if reason is not None:
+            raise NotGround("normalized input %s: %r" % (reason, raw))
         return lowercase_lang(sig)
 
     if lang_tag is None:

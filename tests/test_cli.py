@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 import types
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 
 import siglogic
 from siglogic.cli import run
-from siglogic.dsl import parse_signature
+from siglogic.dsl import parse_signature, print_signature
+from siglogic.model import UNK, Const
 from siglogic.kb import FactStore, dump_facts, ingest_signature
 from siglogic.logic import compile_signature, print_formula
 
+from strategies import ground_signatures, signatures
 from conftest import (
     ALL_FIXTURE_SIGS,
     JAVA_MAX,
@@ -274,6 +278,59 @@ def test_loading_a_kb_compiles_nothing(kb_path, eq_path, compile_calls):
         code, _, _ = _run(argv, "java lang Math::min(long:a,long:b) -> long\n")
         assert code == 0
     assert compile_calls == []
+
+
+@pytest.fixture
+def load_work(monkeypatch):
+    """Lines parsed and Signatures built while the CLI loads a KB
+    (`cli._load_kb`), counted at `dsl.parse_signature` and at
+    `Signature.__post_init__`."""
+    from siglogic import cli, dsl, model
+
+    made, loading = [], []
+    real_load, real_parse = cli._load_kb, dsl.parse_signature
+    real_post_init = model.Signature.__post_init__
+
+    def load(*args):
+        loading.append(True)
+        try:
+            return real_load(*args)
+        finally:
+            loading.pop()
+
+    def parse(text):
+        if loading:
+            made.append(text)
+        return real_parse(text)
+
+    def post_init(sig):
+        if loading:
+            made.append(sig)
+        real_post_init(sig)
+
+    monkeypatch.setattr(cli, "_load_kb", load)
+    monkeypatch.setattr(dsl, "parse_signature", parse)
+    monkeypatch.setattr(model.Signature, "__post_init__", post_init)
+    return made
+
+
+def test_loading_a_ground_kb_builds_no_signature(kb_path, eq_path, load_work):
+    for argv in (
+        ["query", WILDCARD_QUERY, "--kb", kb_path],
+        ["equiv", "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> s?",
+         "--kb", kb_path, "--eq", eq_path],
+        ["facts", "--kb", kb_path],
+        ["ingest", "--kb", kb_path],
+    ):
+        code, _, _ = _run(argv, "java lang Math::min(long:a,long:b) -> long\n")
+        assert code == 0
+    assert load_work == []
+    # a line the reader does not read as ground is parsed to say why
+    with open(kb_path, "a", encoding="utf-8") as fh:
+        fh.write("java lang Math::f?(long:a) -> long\n")
+    assert _run(["facts", "--kb", kb_path])[0] == 1
+    assert load_work[0] == "java lang Math::f?(long:a) -> long"
+    assert isinstance(load_work[1], siglogic.Signature)
 
 
 def test_facts_compiles_each_signature_once(kb_path, compile_calls):
@@ -741,3 +798,88 @@ def test_equiv_base_named_unk_matches_no_function(kb_path, eq_path):
                  "--kb", kb_path, "--eq", eq_path]) == (
         1, "", "<query>:1: no ingested function matches 'UNK'\n"
     )
+
+
+def _reference_load(path, text):
+    """A KB loaded line by line through the library: `normalize`, then
+    `ingest_signature`."""
+    from siglogic import cli
+    from siglogic.normalizer import Dialect, normalize
+
+    store = FactStore()
+    for lineno, line in cli._lines(text):
+        try:
+            ingest_signature(store, normalize(line, Dialect.NORMALIZED))
+        except cli._INPUT_ERRORS as e:
+            raise cli._LineError(path, lineno, str(e))
+    return store
+
+
+def _loaded(load, text):
+    """What a load of text gives: its `path:line:` diagnostic, or its keys,
+    their signatures, its fact count and its facts."""
+    from siglogic.cli import _LineError
+    from siglogic.kb import reconstruct_signature
+
+    try:
+        store = load("kb.txt", text)
+    except _LineError as e:
+        return str(e)
+    keys = list(store.keys)
+    sigs = [reconstruct_signature(store, key) for key in keys]
+    return keys, sigs, len(store), dump_facts(store)
+
+
+_PUNCT = re.compile(r"(::|->|[(),:])")
+
+
+@st.composite
+def _kb_line(draw, earlier):
+    """A KB line: a drawn signature (ground, wildcard, `(?)`, EquivIn or
+    UNK-headed), a repeat of an earlier one or a conflicting variant of
+    it, maybe with its language upper-cased, respaced or broken."""
+    kind = draw(st.sampled_from(
+        ["ground"] * 8 + ["again"] * 3 + ["any", "unk", "conflict"]
+    ))
+    if kind in ("again", "conflict") and earlier:
+        sig = draw(st.sampled_from(earlier))
+        if kind == "conflict" and sig.params and draw(st.booleans()):
+            sig = dataclasses.replace(sig, vararg=not sig.vararg)
+        elif kind == "conflict":
+            ret = Const("y" if sig.ret == Const("x") else "x")
+            sig = dataclasses.replace(sig, ret=ret)
+    elif kind == "any":
+        sig = draw(signatures())
+    else:
+        sig = draw(ground_signatures)
+        if kind == "unk":
+            sig = dataclasses.replace(sig, head=UNK)
+    if isinstance(sig.lang, Const):
+        earlier.append(sig)
+        if draw(st.booleans()):
+            sig = dataclasses.replace(sig, lang=Const(sig.lang.token.upper()))
+    text = print_signature(sig)
+    if draw(st.booleans()):  # whitespace around the punctuation, none inside a token
+        space = st.sampled_from(["", " ", "  ", "\t"])
+        text = _PUNCT.sub(lambda m: draw(space) + m.group() + draw(space), text)
+        text = draw(space) + text.replace(" ", draw(st.sampled_from([" ", " \t "]))) + draw(space)
+    if draw(st.integers(0, 19)) == 0:  # a character dropped or put in
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["", ":", "(", ",", "?", " x"])) + text[i + 1:]
+    return text
+
+
+@st.composite
+def _kb_text(draw):
+    earlier = []
+    return "".join(
+        draw(_kb_line(earlier)) + "\n" for _ in range(draw(st.integers(1, 6)))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kb_text())
+def test_the_row_reader_loads_as_the_library_does(text):
+    from siglogic.cli import _load_kb
+
+    assert _loaded(_load_kb, text) == _loaded(_reference_load, text)

@@ -778,7 +778,9 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
     from siglogic.kb import (
         _skolemize, cls_skolem, fn_skolem, param_skolem, ret_skolem,
     )
-    from siglogic.logic import compile_signature, print_atom, subst_atoms
+    from siglogic.logic import (
+        compile_signature, print_atom, signature_row, subst_atoms,
+    )
     from siglogic.model import function_key
 
     rng = random.Random(11)
@@ -816,7 +818,7 @@ def test_ingested_facts_equal_skolemized_compile_atoms():
         for j, x in enumerate(formula.lambdas, start=1):
             witness[x] = param_skolem(key, j)
         atoms = subst_atoms(formula.atoms, witness)
-        assert _skolemize(key, sig) == atoms
+        assert _skolemize(key, signature_row(sig)) == atoms
         expected |= set(atoms)
         ingest_signature(store, sig)
     assert set().union(*(

@@ -135,6 +135,15 @@ def test_beta_apply_renames_an_existential_spelled_like_an_argument():
     )) in applied.atoms
 
 
+def test_beta_apply_does_not_capture_a_variable_argument():
+    applied = beta_apply(_java_max_formula(), [Var("f"), Const("b")])
+    assert applied.existentials == ("v", "f_e", "n", "c")
+    assert Atom("has_param", (Var("f_e"), Var("f"), Const("1"))) in applied.atoms
+    assert print_formula(applied).startswith(
+        "ex v . ex f_e . ex n . ex c . fun(f_e,max) & eq(v,max(f,b)) & "
+    )
+
+
 def test_beta_apply_zero_args_is_identity():
     f = compile_signature(parse_signature("java lang Math::now() -> long"))
     assert beta_apply(f, []) == f
@@ -344,32 +353,39 @@ def test_fixed_binders_give_way_to_constants():
     )
 
 
-def _assert_binders_fresh(formula):
+def _assert_binders_fresh(formula, free=()):
     binders = formula.lambdas + formula.existentials
     assert len(set(binders)) == len(binders)
     terms = [t for a in formula.atoms for t in a.args]
     terms += [u for t in terms if isinstance(t, App) for u in (t.fn, *t.args)]
     consts = {t.token for t in terms if isinstance(t, Const)}
-    assert not consts & set(binders)
+    assert not (consts | set(free)) & set(binders)
 
 
 # arguments for beta_apply, often spelled like a fixed binder
 _arg_tokens = st.one_of(st.sampled_from(["v", "f", "n", "c", "x1", "x2"]), tokens)
+_four = dict(min_size=4, max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
-@given(signatures(), st.lists(_arg_tokens, min_size=4, max_size=4))
+@given(signatures(), st.lists(_arg_tokens, **_four), st.lists(st.booleans(), **_four))
 @example(
     parse_signature("java java.math BigInteger::shiftLeft(int:n) -> BigInteger"),
-    ["a", "b", "c", "d"],
+    ["a", "b", "c", "d"], [False] * 4,
 )
-@example(parse_signature("java lang Math::max(int:x1) -> long"), ["a"] * 4)
-@example(parse_signature("java v Math::f(int:c) -> n"), ["a"] * 4)
-@example(parse_signature(JAVA_MAX), ["f", "v", "a", "a"])
-def test_no_binder_is_spelled_like_a_constant(sig, arg_tokens):
+@example(parse_signature("java lang Math::max(int:x1) -> long"), ["a"] * 4, [False] * 4)
+@example(parse_signature("java v Math::f(int:c) -> n"), ["a"] * 4, [False] * 4)
+@example(parse_signature(JAVA_MAX), ["f", "v", "a", "a"], [False] * 4)
+@example(parse_signature(JAVA_MAX), ["f", "b", "a", "a"], [True, False, False, False])
+def test_no_binder_is_spelled_like_a_constant(sig, arg_tokens, as_var):
+    # nor, after beta_apply, like a free variable among the arguments
     if isinstance(sig.head, EquivIn):
         return
     f = compile_signature(sig)
     _assert_binders_fresh(f)
-    args = [Const(t) for t in arg_tokens[:len(f.lambdas)]]
-    _assert_binders_fresh(beta_apply(f, args))
+    args = [
+        (Var if var else Const)(t)
+        for t, var in zip(arg_tokens[:len(f.lambdas)], as_var)
+    ]
+    free = [a.name for a in args if isinstance(a, Var)]
+    _assert_binders_fresh(beta_apply(f, args), free)

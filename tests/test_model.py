@@ -1,10 +1,10 @@
 import dataclasses
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siglogic import model
 from siglogic.model import (
     UNK,
     Const,
@@ -21,7 +21,9 @@ from siglogic.model import (
     not_ground_reason,
     wildcard_labels,
 )
-from siglogic.dsl import parse_signature, print_signature
+from siglogic.dsl import parse_signature, print_signature, read_row
+from siglogic.logic import signature_row
+from siglogic.normalizer import lowercase_lang
 
 from strategies import ground_signatures, signatures
 
@@ -89,22 +91,13 @@ def test_unk_slots_count_as_ground():
     ground_signatures.map(lambda sig: dataclasses.replace(sig, head=UNK)),
 ))
 def test_groundness_read_from_the_line_match_agrees_with_the_walk(sig):
-    # sig is built by hand, so not_ground_reason walks its slots
-    assert is_ground(parse_signature(print_signature(sig))) == (
-        not_ground_reason(sig) is None
-    )
-
-
-def test_a_ground_kb_line_is_not_walked(monkeypatch):
-    walked = []
-    monkeypatch.setattr(model, "not_ground_reason", walked.append)
-    assert is_ground(parse_signature("java lang Math::max(long:a,long:b) -> long"))
-    assert walked == []
-    # a line the match cannot vouch for, and a copy, are walked
-    unk = parse_signature("java lang Math::UNK(long:a) -> long")
-    is_ground(unk)
-    is_ground(dataclasses.replace(unk, head=Const("max")))
-    assert len(walked) == 2
+    # sig is built by hand, so not_ground_reason walks its slots; the KB
+    # line reader reads exactly the ground lines, as the library stores them
+    read = read_row(print_signature(sig))
+    assert (read is not None) == (not_ground_reason(sig) is None)
+    if read is not None:
+        stored = lowercase_lang(sig)
+        assert read == (function_key(stored), signature_row(stored, attrgetter("token")))
 
 
 def test_function_key_fields():
