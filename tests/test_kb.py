@@ -1,5 +1,6 @@
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from siglogic.model import (
     Param,
     Signature,
     Wildcard,
+    function_key,
     wildcard_labels,
 )
 
@@ -837,3 +839,151 @@ def test_oracle_reports_a_renamed_label_by_its_spelling(max_store):
     results = brute_force_answer(max_store, query)
     assert results == answer(max_store, query)
     assert {b["a"] for b in results} == {"b"}
+
+
+# --- the posting lists answer reads ----------------------------------------
+
+def _conflicting(sig):
+    """sig with a different body under the same key."""
+    ret = Const("mixed") if sig.ret != Const("mixed") else Const("long")
+    return Signature(sig.lang, sig.namespace, sig.class_name, sig.head,
+                     sig.params, vararg=sig.vararg, ret=ret)
+
+
+def _index_queries(rng, stored):
+    """Queries with a constant in each head slot, with none, with a token
+    no row holds, and mutated stored signatures."""
+    labelled = Signature(Wildcard("l"), Wildcard("N"), Wildcard("C"),
+                         Wildcard("f"), params_wildcard=True, ret=Wildcard("r"))
+    fields = ("lang", "namespace", "class_name", "head", "ret")
+    queries = [labelled, replace(labelled, head=Const("nope"))]
+    if stored:
+        sig = rng.choice(stored)
+        queries += [replace(labelled, **{f: getattr(sig, f)}) for f in fields]
+        queries.append(replace(labelled, ret=UNK))
+    return queries + [random_query(rng, stored) for _ in range(4)]
+
+
+def test_answer_agrees_with_brute_force_across_ingests():
+    rng = random.Random(20261019)
+    store, stored, eqs = FactStore(), [], EquivStore()
+    steps = set()
+    for _ in range(60):
+        roll = rng.random()
+        if stored and roll < 0.2:
+            assert ingest_signature(store, rng.choice(stored)) == 0
+            steps.add("re-ingest")
+        elif stored and roll < 0.4:
+            with pytest.raises(KeyConflict):
+                ingest_signature(store, _conflicting(rng.choice(stored)))
+            steps.add("conflict")
+        else:
+            sig = random_ground_signature(rng)
+            try:
+                ingest_signature(store, sig)
+            except KeyConflict:
+                continue
+            stored.append(sig)
+            if len(stored) > 1:
+                a, b = rng.sample(sorted(store.keys), 2)
+                eqs.add_eq(a, b)
+            steps.add("new")
+        for query in _index_queries(rng, stored):
+            assert answer(store, query) == brute_force_answer(store, query), (
+                print_signature(query))
+        query = random_equiv_query(rng, stored)
+        try:
+            expected = brute_force_answer_equiv(store, eqs, query)
+        except SourceNotFound:
+            with pytest.raises(SourceNotFound):
+                answer_equiv(store, eqs, query)
+            continue
+        assert answer_equiv(store, eqs, query) == expected, print_signature(query)
+    assert steps == {"new", "re-ingest", "conflict"}
+    assert set(store._index) == {0, 1, 2, 3, 4}
+
+
+def _seeded_store(n, seed=3):
+    """n functions over 300 names, 3 languages and 4 return types."""
+    rng, store = random.Random(seed), FactStore()
+    while len(store.keys) < n:
+        arity = rng.randint(0, 3)
+        sig = Signature(
+            Const(rng.choice(LANGS)), Const(rng.choice(NAMESPACES)),
+            Const(rng.choice(CLASSES)), Const("f%d" % rng.randrange(300)),
+            tuple(Param(_tok(rng, TYPES), Const("p%d" % j)) for j in range(arity)),
+            ret=_tok(rng, TYPES),
+        )
+        try:
+            ingest_signature(store, sig)
+        except KeyConflict:
+            pass
+    return store
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The number of rows answer's matchers have examined so far."""
+    from siglogic import kb
+
+    seen = [0]
+    matcher = kb._matcher
+
+    def counting_matcher(query):
+        match = matcher(query)
+
+        def counted_match(row):
+            seen[0] += 1
+            return match(row)
+
+        return counted_match
+
+    monkeypatch.setattr(kb, "_matcher", counting_matcher)
+    return lambda: seen[0]
+
+
+def _rows_with(store, at, token):
+    return sum(row[at] == token for row in store._rows.values())
+
+
+def test_a_query_examines_only_its_most_selective_slots_rows(counted):
+    store = _seeded_store(1000)
+    name = store._rows[min(store.keys)][3]
+    point = parse_signature("l? N? C?::%s(?) -> r?" % name)
+    assert answer(store, point)
+    assert counted() == _rows_with(store, 3, name) < 20
+    scan = parse_signature("l? N? C?::f?(?) -> int")
+    returns_int = len(answer(store, scan))
+    assert counted() - _rows_with(store, 3, name) == returns_int < 400
+    before = counted()
+    assert answer(store, parse_signature("java N? C?::nope(?) -> r?")) == set()
+    assert counted() == before
+
+
+def test_a_join_with_no_constant_head_slot_examines_every_row(counted):
+    store = _seeded_store(1000)
+    answer(store, parse_signature("l? N? C?::f?(t?:p0) -> t?"))
+    assert counted() == 1000
+    assert store._index == {}
+
+
+def test_the_index_is_built_once_and_dropped_by_a_new_row(counted):
+    store = _seeded_store(1000)
+    query = parse_signature("java lang Math::f7(?) -> r?")
+    first = answer(store, query)
+    postings = store._index[3]
+    seen = counted()
+    assert answer(store, parse_signature("l? N? C?::f8(?) -> r?"))
+    assert store._index[3] is postings and set(store._index) == {3}
+    # an identical re-ingest or a conflict stores nothing, so keeps the index
+    sig = reconstruct_signature(store, min(store.keys))
+    assert ingest_signature(store, sig) == 0
+    with pytest.raises(KeyConflict):
+        ingest_signature(store, _conflicting(sig))
+    assert store._index[3] is postings
+    new = parse_signature("java lang Math::f7(int:p0,int:p1,int:p2,int:p3) -> int")
+    ingest_signature(store, new)
+    assert store._index == {}
+    before = counted()
+    assert answer(store, query) == first | {Binding(function_key(new), (("r", "int"),))}
+    assert counted() - before == seen + 1
