@@ -17,9 +17,9 @@ class witnesses across (lang, namespace, class).  Queries are
 signatures with wildcards.  Each is read once into a matcher
 (`_matcher`), run over the rows, that checks a stored function's arity
 and the query's constant slots before it binds any label; a query with a
-constant head slot reads only the rows in that slot's posting list.  The
-backtracking unifier of the query's compiled atoms against the facts is
-kept as the oracle, `brute_force_answer`.
+constant name, or else a constant ret, reads only the rows in that slot's
+posting list.  The backtracking unifier of the query's compiled atoms
+against the facts is kept as the oracle, `brute_force_answer`.
 """
 
 from __future__ import annotations
@@ -114,15 +114,15 @@ class FactStore:
     Besides the table the store keeps a running count of the facts and the
     (lang, namespace) and (lang, namespace, class) identities seen: their
     namespace and class atoms are the only facts functions share.  Its
-    posting lists, the keys by one head slot's token, are built by `answer`
-    on first use and all dropped when a new row is stored.
+    posting lists, the keys by their name or by their ret token, are built
+    by `answer` on first use and all dropped when a new row is stored.
     """
 
     def __init__(self):
         self._rows = {}
         self._shared = set()
         self._size = 0
-        self._index = {}  # head-slot position in a row -> {token: [keys]}
+        self._index = {}  # row position, 3 (name) or 4 (ret) -> {token: [keys]}
 
     def __len__(self):
         return self._size
@@ -278,23 +278,23 @@ def answer(store: FactStore, query: Signature) -> set:
 
     The query is read once into a matcher, which checks each stored
     signature's arity, then the query's constant slots, then binds labels.
-    It runs over the posting list of the first constant (UNK too) among the
-    name, class, namespace, ret and lang slots, built on the first query
-    that needs it; a query with none reads every row.
+    It runs over the posting list of the query's constant (UNK too) name,
+    else of its constant ret, built on the first query that needs it; a
+    query with neither reads every row.
     """
     if isinstance(query.head, EquivIn):
         raise UnsupportedHead("EquivIn queries go through answer_equiv")
     match = _matcher(query)
-    slots = (query.lang, query.namespace, query.class_name, query.head, query.ret)
-    at = next((i for i in (3, 2, 1, 4, 0) if not isinstance(slots[i], Wildcard)), None)
     rows = store._rows.items()
-    if at is not None:
-        postings = store._index.get(at)
-        if postings is None:
-            postings = store._index[at] = defaultdict(list)
-            for key, row in rows:
-                postings[row[at]].append(key)
-        rows = ((key, store._rows[key]) for key in postings.get(slots[at].token, ()))
+    for at, slot in ((3, query.head), (4, query.ret)):
+        if not isinstance(slot, Wildcard):
+            postings = store._index.get(at)
+            if postings is None:
+                postings = store._index[at] = defaultdict(list)
+                for key, row in rows:
+                    postings[row[at]].append(key)
+            rows = ((key, store._rows[key]) for key in postings.get(slot.token, ()))
+            break
     results = set()
     for key, row in rows:
         binds = match(row)

@@ -900,7 +900,7 @@ def test_answer_agrees_with_brute_force_across_ingests():
             continue
         assert answer_equiv(store, eqs, query) == expected, print_signature(query)
     assert steps == {"new", "re-ingest", "conflict"}
-    assert set(store._index) == {0, 1, 2, 3, 4}
+    assert set(store._index) == {3, 4}
 
 
 def _seeded_store(n, seed=3):
@@ -946,7 +946,7 @@ def _rows_with(store, at, token):
     return sum(row[at] == token for row in store._rows.values())
 
 
-def test_a_query_examines_only_its_most_selective_slots_rows(counted):
+def test_a_query_examines_only_its_constant_name_or_else_ret_rows(counted):
     store = _seeded_store(1000)
     name = store._rows[min(store.keys)][3]
     point = parse_signature("l? N? C?::%s(?) -> r?" % name)
@@ -964,6 +964,16 @@ def test_a_join_with_no_constant_head_slot_examines_every_row(counted):
     store = _seeded_store(1000)
     answer(store, parse_signature("l? N? C?::f?(t?:p0) -> t?"))
     assert counted() == 1000
+    assert store._index == {}
+
+
+def test_a_query_without_a_constant_name_or_ret_examines_every_row(counted):
+    # lang, namespace and class have few tokens: they are not indexed
+    store = _seeded_store(1000)
+    results = answer(store, parse_signature("java N? C?::f?(?) -> r?"))
+    assert counted() == 1000 and 0 < len(results) < 1000
+    answer(store, parse_signature("l? N? %s::f?(?) -> r?" % CLASSES[0]))
+    assert counted() == 2000
     assert store._index == {}
 
 
