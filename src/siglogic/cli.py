@@ -245,7 +245,7 @@ def _write_lines(out, lines):
 
 
 def _print_results(store, results, porcelain, out):
-    ordered = sorted(results, key=lambda b: (b.key, b.items))
+    ordered = sorted(results)
     lines = [] if ordered else ["0 results"]
     for i, binding in enumerate(ordered):
         sig = kb.reconstruct_signature(store, binding.key)

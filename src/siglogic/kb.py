@@ -16,16 +16,17 @@ witnesses are shared across functions of the same (lang, namespace);
 class witnesses across (lang, namespace, class).  Queries are
 signatures with wildcards.  Each is read once into a matcher
 (`_matcher`), run over the rows, that checks a stored function's arity
-and the query's constant slots before it binds any label; a query with a
-constant name, or else a constant ret, reads only the rows in that slot's
-posting list.  The backtracking unifier of the query's compiled atoms
-against the facts is kept as the oracle, `brute_force_answer`.
+and the query's constant slots before it reads any label, and returns
+the label pairs already sorted, so a result `Binding` is one tuple built
+as is; a query with a constant name, or else a constant ret, reads only
+the rows in that slot's posting list.  The backtracking unifier of the
+query's compiled atoms against the facts is kept as the oracle,
+`brute_force_answer`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from math import inf
 from operator import attrgetter, itemgetter
 
@@ -88,22 +89,26 @@ def cls_skolem(lang: str, namespace: str, class_name: str) -> str:
     return "cls:%s|%s|%s" % (lang, namespace, class_name)
 
 
-@dataclass(frozen=True)
-class Binding:
-    """One query answer: wildcard assignments plus the matched function."""
+class Binding(namedtuple("Binding", "key items")):
+    """One query answer: the matched function's key and its wildcard
+    assignments, `(label, token)` pairs sorted by label.
 
-    key: FunctionKey
-    items: tuple = field(default=())  # sorted (label, token) pairs
+    It equals, hashes and orders like its tuple `(key, items)`.  Building
+    one sorts `items`; `_make` skips that, for pairs already sorted.
+    `binding[label]` reads a label's token, an int index a field.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(sorted(self.items)))
+    __slots__ = ()
+
+    def __new__(cls, key, items=()):
+        return super().__new__(cls, key, tuple(sorted(items)))
 
     @property
     def mapping(self) -> dict:
         return dict(self.items)
 
-    def __getitem__(self, label: str) -> str:
-        return self.mapping[label]
+    def __getitem__(self, at):
+        return self.mapping[at] if isinstance(at, str) else tuple.__getitem__(self, at)
 
 
 class FactStore:
@@ -277,7 +282,9 @@ def answer(store: FactStore, query: Signature) -> set:
     """All bindings of the query's wildcards against the stored signatures.
 
     The query is read once into a matcher, which checks each stored
-    signature's arity, then the query's constant slots, then binds labels.
+    signature's arity, then the query's constant slots, then its repeated
+    labels, and returns the label pairs sorted, so each result is built
+    as is (`Binding._make`).
     It runs over the posting list of the query's constant (UNK too) name,
     else of its constant ret, built on the first query that needs it; a
     query with neither reads every row.
@@ -297,9 +304,9 @@ def answer(store: FactStore, query: Signature) -> set:
             break
     results = set()
     for key, row in rows:
-        binds = match(row)
-        if binds is not None:
-            results.add(Binding(key, tuple(binds.items())))
+        pairs = match(row)
+        if pairs is not None:
+            results.add(Binding._make((key, pairs)))
     return results
 
 
@@ -376,37 +383,53 @@ def _ground_token(term: Term) -> str:
 
 
 def _matcher(query: Signature):
-    """A function from a stored row to the bindings of the query's
-    wildcards against it, or None when it does not match.
+    """A function from a stored row to the query's `(label, token)` pairs
+    against it, sorted by label, or None when it does not match.
 
-    The query is read once.  Each call compares the arity first, then the
-    query's constant (and UNK) slots, and binds labels only after all of
-    those hold, into one fresh dict.
+    The query is read once into positions of a flat row: the five head
+    slots, then its k parameters' types and names.  Each call checks the
+    arity, flattens the row's first k parameters onto its head, compares
+    its constant slots, read by one itemgetter, with the query's tokens as
+    one tuple, checks that a repeated label reads equal values, and reads
+    each label's first position, in label order, by another itemgetter.
     """
-    slots = (query.lang, query.namespace, query.class_name, query.head, query.ret)
-    pairs = list(zip(slots, map(itemgetter, range(5))))
-    for i, p in enumerate(query.params):
-        pairs.append((p.type_slot, lambda row, i=i: row[5][i][0]))
-        pairs.append((p.name_slot, lambda row, i=i: row[5][i][1]))
-    consts = [(read, s.token) for s, read in pairs if not isinstance(s, Wildcard)]
-    labels = [(read, s.label) for s, read in pairs if isinstance(s, Wildcard)]
-    least = len(query.params)
-    most = inf if query.params_wildcard or query.vararg else least
+    slots = [query.lang, query.namespace, query.class_name, query.head, query.ret]
+    for p in query.params:
+        slots += (p.type_slot, p.name_slot)
+    consts, first, repeats = [], {}, []
+    for i, s in enumerate(slots):
+        if not isinstance(s, Wildcard):
+            consts.append(i)
+        elif first.setdefault(s.label, i) != i:
+            repeats.append((first[s.label], i))
+    labels = sorted(first)
+    read_consts = _reader(consts)
+    tokens = read_consts(tuple(getattr(s, "token", None) for s in slots))
+    read_labels = _reader([first[label] for label in labels])
+    k = len(query.params)
+    most = inf if query.params_wildcard or query.vararg else k
 
     def match(row):
-        if not least <= len(row[5]) <= most:
+        if not k <= len(row[5]) <= most:
             return None
-        for read, token in consts:
-            if read(row) != token:
+        flat = sum(row[5][:k], row[:5]) if k else row
+        if read_consts(flat) != tokens:
+            return None
+        for i, j in repeats:
+            if flat[i] != flat[j]:
                 return None
-        binds = {}
-        for read, label in labels:
-            token = read(row)
-            if binds.setdefault(label, token) != token:
-                return None
-        return binds
+        return tuple(zip(labels, read_labels(flat)))
 
     return match
+
+
+def _reader(positions):
+    """An itemgetter of `positions` that returns a tuple for any number
+    of them: a lone position is read twice (a zip with its one label stops
+    after the first), and none reads an empty slice."""
+    if len(positions) == 1:
+        positions = positions * 2
+    return itemgetter(*positions) if positions else itemgetter(slice(0))
 
 
 def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
@@ -425,9 +448,10 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
             row = facts._rows.get(member)
             if row is None:
                 continue
-            binds = match(row)
-            if binds is not None:
-                results.add(Binding(member, source.items + tuple(binds.items())))
+            pairs = match(row)
+            if pairs is not None:
+                # the target's primed labels interleave the base's: sort again
+                results.add(Binding(member, source.items + pairs))
     return results
 
 

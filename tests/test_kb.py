@@ -1,6 +1,7 @@
 import copy
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,29 @@ def test_ground_self_match(max_store):
     (binding,) = results
     assert binding.items == ()
     assert binding.key == FunctionKey("java", "lang", "Math", "max", 2)
+
+
+def test_binding_constructor_sorts_and_make_takes_sorted_pairs():
+    key = FunctionKey("java", "lang", "Math", "max", 2)
+    pairs = (("C", "Math"), ("f", "max"), ("p", "b"))
+    built = Binding(key, (("p", "b"), ("C", "Math"), ("f", "max")))
+    assert built.items == pairs
+    made = Binding._make((key, pairs))
+    assert made == built == (key, pairs)
+    assert hash(made) == hash(built) == hash((key, pairs))
+    assert Binding(key).items == ()
+
+
+def test_binding_reads_labels_fields_and_unpacks():
+    key = FunctionKey("java", "lang", "Math", "max", 2)
+    binding = Binding(key, (("p", "b"), ("f", "max")))
+    assert binding["f"] == "max" and binding["p"] == "b"
+    assert binding.mapping == {"f": "max", "p": "b"}
+    got_key, items = binding
+    assert got_key == key and items == (("f", "max"), ("p", "b"))
+    assert binding[0] == binding.key == key and binding[1] == items
+    with pytest.raises(KeyError):
+        binding["q"]
 
 
 def test_concrete_type_does_not_match_unk(max_store):
@@ -747,6 +771,71 @@ def test_answer_equiv_agrees_with_brute_force_randomized():
     }
 
 
+def _matcher_edge_queries(sig):
+    """Queries over a stored signature, one per edge case of the matcher."""
+    w = Wildcard
+    yield "ground", sig
+    yield "one label", replace(sig, ret=w("r"))
+    yield "no constant", replace(
+        sig, lang=w("l"), namespace=w("N"), class_name=w("C"), head=w("f"),
+        params=tuple(Param(w("t%d" % j), w("p%d" % j)) for j in range(len(sig.params))),
+        ret=w("r"),
+    )
+    # t in the ret slot and in every parameter's type
+    yield "repeated label", replace(
+        sig, head=w("f"), params=tuple(Param(w("t"), p.name_slot) for p in sig.params),
+        ret=w("t"),
+    )
+    yield "unsorted labels", replace(sig, lang=w("z"), class_name=w("m"), ret=w("a"))
+    if sig.params:
+        yield "vararg", replace(sig, head=w("f"), params=sig.params[:1], vararg=True)
+    yield "(?)", replace(sig, params=(), params_wildcard=True, vararg=False, head=w("f"))
+
+
+def test_answer_agrees_with_brute_force_on_matcher_edge_cases():
+    rng = random.Random(20261019)
+    store, stored = FactStore(), []
+    while len(stored) < 120:
+        sig = random_ground_signature(rng)
+        try:
+            ingest_signature(store, sig)
+        except KeyConflict:
+            continue
+        stored.append(sig)
+    seen = set()
+    for sig in rng.sample(stored, 25):
+        for kind, query in _matcher_edge_queries(sig):
+            results = answer(store, query)
+            assert results == brute_force_answer(store, query), print_signature(query)
+            assert all(list(b.items) == sorted(b.items) for b in results)
+            if not results:  # only a repeated label can miss sig itself
+                assert kind == "repeated label", print_signature(query)
+                continue
+            seen.add(kind)
+            if kind == "ground" and UNK in (sig.ret, *(p.type_slot for p in sig.params)):
+                seen.add("ground with UNK")
+            if kind == "vararg" and max(b.key.arity for b in results) > 1:
+                seen.add("vararg over longer rows")
+    assert seen == {
+        "ground", "ground with UNK", "one label", "no constant", "repeated label",
+        "unsorted labels", "vararg", "vararg over longer rows", "(?)",
+    }
+
+
+def test_answer_equiv_sorts_the_base_and_primed_target_labels(full_store, shift_eqs):
+    query = parse_signature(
+        "java java.math N?::EquivIn(shiftLeft,haskell)(int:f'?) -> r?"
+    )
+    results = answer_equiv(full_store, shift_eqs, query)
+    assert results == brute_force_answer_equiv(full_store, shift_eqs, query)
+    (binding,) = results
+    assert binding.key == KEY_SHIFT_HASKELL
+    assert binding.items == (
+        ("C", "builtin"), ("N", "BigInteger"), ("N'", "Data.Bits"), ("f'", "n"),
+        ("f''", "shiftL"), ("r", "BigInteger"), ("r'", "UNK"),
+    )
+
+
 def test_binding_soundness(max_store):
     query = parse_signature(WILDCARD_QUERY)
     for binding in answer(max_store, query):
@@ -997,3 +1086,15 @@ def test_the_index_is_built_once_and_dropped_by_a_new_row(counted):
     before = counted()
     assert answer(store, query) == first | {Binding(function_key(new), (("r", "int"),))}
     assert counted() - before == seen + 1
+
+
+def test_the_readme_library_example_answers_as_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    setup, rest = block.split("sl.answer(store, query)\n", 1)
+    documented = " ".join(
+        line.lstrip("# ").strip() for line in rest.splitlines() if line.startswith("#")
+    )
+    scope = {}
+    exec(setup, scope)
+    assert repr(eval("sl.answer(store, query)", scope)) == documented
