@@ -36,6 +36,7 @@ from .model import TOKEN_RE, FunctionKey
 from .normalizer import Dialect
 
 _INPUT_ERRORS = (ValueError, kb.SourceNotFound)  # all siglogic input errors
+_DIALECTS = {d.value: d for d in Dialect}  # each dialect by its name
 
 
 class _LineError(Exception):
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="input files (default: stdin)",
         )
         p.add_argument(
-            "--dialect", choices=[d.value for d in Dialect],
+            "--dialect", choices=list(_DIALECTS),
             help="dialect of all input lines; omit for tab-separated "
                  "`dialect<TAB>lang<TAB>raw` corpus lines",
         )
@@ -150,37 +151,30 @@ def _check_lang(args):
 
 
 def _input_sigs(args, stdin):
-    """(path, lineno, sig) for each non-blank input line, normalized."""
-    dialect = args.dialect and Dialect(args.dialect)
+    """(path, lineno, sig) for each non-blank input line, normalized.
+
+    A line has one of three shapes: raw text in the given `--dialect` (a
+    tab in it is text); without `--dialect`, a `dialect<TAB>lang<TAB>raw`
+    corpus line; or else a normalized DSL line.
+    """
+    given = args.dialect and _DIALECTS[args.dialect]
     for path, lineno, line in _input_lines(args.inputs, stdin):
-        yield path, lineno, _normalize_line(path, lineno, line, dialect, args.lang)
-
-
-def _normalize_line(path, lineno, line, dialect, lang):
-    """One non-blank corpus line to a ground Signature."""
-    if dialect is not None:
-        raw, dia, tag = line, dialect, lang
-    elif "\t" in line:
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise _LineError(
-                path, lineno, "expected `dialect<TAB>lang<TAB>raw`"
-            )
-        dia_name, tag, raw = fields
+        raw, dialect, tag = line, given, args.lang
         try:
-            dia = Dialect(dia_name)
-        except ValueError:
-            raise _LineError(path, lineno, "unknown dialect %r" % dia_name)
-        if dia is Dialect.NORMALIZED and tag:  # the text names its language
-            raise _LineError(
-                path, lineno, "the normalized dialect takes no language tag"
-            )
-    else:
-        raw, dia, tag = line, Dialect.NORMALIZED, None
-    try:
-        return normalizer.normalize(raw, dia, tag or None)
-    except _INPUT_ERRORS as e:
-        raise _LineError(path, lineno, str(e))
+            if given is None and "\t" in line:
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ValueError("expected `dialect<TAB>lang<TAB>raw`")
+                name, tag, raw = fields
+                dialect = _DIALECTS.get(name)
+                if dialect is None:
+                    raise ValueError("unknown dialect %r" % name)
+                if dialect is Dialect.NORMALIZED and tag:  # the text names its language
+                    raise ValueError("the normalized dialect takes no language tag")
+            sig = normalizer.normalize(raw, dialect or Dialect.NORMALIZED, tag or None)
+        except _INPUT_ERRORS as e:
+            raise _LineError(path, lineno, str(e))
+        yield path, lineno, sig
 
 
 def _load_kb(path, text) -> kb.FactStore:
@@ -222,10 +216,10 @@ def _write_atomically(path, text):
 def _load_eq(path) -> kb.EquivStore:
     eqs = kb.EquivStore()
     for lineno, line in _lines(_read(path)):
-        halves = line.split("\t")
-        if len(halves) != 2:
-            raise _LineError(path, lineno, "expected two tab-separated keys")
         try:
+            halves = line.split("\t")
+            if len(halves) != 2:
+                raise ValueError("expected two tab-separated keys")
             eqs.add_eq(FunctionKey.parse(halves[0]), FunctionKey.parse(halves[1]))
         except _INPUT_ERRORS as e:
             raise _LineError(path, lineno, str(e))

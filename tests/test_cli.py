@@ -237,15 +237,22 @@ def test_links_arity_is_plain_digits(kb_path, tmp_path, arity):
     assert err == "%s:1: invalid arity %r\n" % (links, arity)
 
 
-@pytest.mark.parametrize("key, error", [
-    ("java|lang|Math|max", "expected `lang|ns|class|name|arity`"),
-    ("java|lang|Math|max|2|1", "expected `lang|ns|class|name|arity`"),
-    ("java|la ng|Math|max|2", "invalid key token: 'la ng'"),
-    ("JA VA|lang|Math|max|2", "invalid key token: 'JA VA'"),  # as written
-], ids=["four-fields", "six-fields", "bad-token", "bad-language"])
-def test_bad_links_key_is_a_line_diagnostic(kb_path, tmp_path, key, error):
+_PY_MAX_KEY = "python|decimal|Context|max|2"
+
+
+@pytest.mark.parametrize("line, error", [
+    ("java|lang|Math|max\t" + _PY_MAX_KEY, "expected `lang|ns|class|name|arity`"),
+    ("java|lang|Math|max|2|1\t" + _PY_MAX_KEY, "expected `lang|ns|class|name|arity`"),
+    ("java|la ng|Math|max|2\t" + _PY_MAX_KEY, "invalid key token: 'la ng'"),
+    ("JA VA|lang|Math|max|2\t" + _PY_MAX_KEY, "invalid key token: 'JA VA'"),  # as written
+    ("java|lang|Math|max|2", "expected two tab-separated keys"),
+    ("java|lang|Math|max|2\t%s\t%s" % (_PY_MAX_KEY, _PY_MAX_KEY),
+     "expected two tab-separated keys"),
+], ids=["four-fields", "six-fields", "bad-token", "bad-language", "one-key",
+        "three-keys"])
+def test_bad_links_key_is_a_line_diagnostic(kb_path, tmp_path, line, error):
     links = tmp_path / "links.txt"
-    links.write_text(key + "\tpython|decimal|Context|max|2\n", encoding="utf-8")
+    links.write_text(line + "\n", encoding="utf-8")
     code, out, err = _run(["equiv", "java lang Math::EquivIn(max,python)(?) -> r?",
                            "--kb", kb_path, "--eq", str(links)])
     assert (code, out, err) == (1, "", "%s:1: %s\n" % (links, error))
@@ -409,9 +416,22 @@ def test_dialect_and_lang_mismatch_is_a_usage_error(
     ("cobol\tcobol\tlong f(int x)", "unknown dialect 'cobol'"),
     ("normalized\tphp\t" + JAVA_MAX,
      "the normalized dialect takes no language tag"),
-], ids=["no-language", "unknown-dialect", "normalized-with-language"])
+    ("java\tjava", "expected `dialect<TAB>lang<TAB>raw`"),
+    ("java\tjava\ta\tb", "expected `dialect<TAB>lang<TAB>raw`"),
+], ids=["no-language", "unknown-dialect", "normalized-with-language",
+        "two-fields", "four-fields"])
 def test_bad_tab_line_is_a_line_diagnostic(line, error):
     assert _run(["normalize"], line + "\n") == (1, "", "<stdin>:1: %s\n" % error)
+
+
+@pytest.mark.parametrize("flags, line, normalized", [
+    (["--dialect", "java", "--lang", "java"], "lang Math long\tmax(long a)",
+     "java lang Math::max(long:a) -> long"),
+    (["--dialect", "normalized"], "java lang\tMath::f(int:a) -> int",
+     "java lang Math::f(int:a) -> int"),
+], ids=["raw-dialect", "normalized-dialect"])
+def test_a_tab_under_dialect_is_text_not_a_field(flags, line, normalized):
+    assert _run(["normalize"] + flags, line + "\n") == (0, normalized + "\n", "")
 
 
 def test_normalized_tab_line_with_empty_language_is_read():
