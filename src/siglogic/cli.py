@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import os
 import re
@@ -44,6 +45,7 @@ class _LineError(Exception):
         super().__init__("%s:%d: %s" % (path, lineno, message))
 
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="siglogic",
@@ -259,11 +261,10 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
         # argparse prints help to sys.stdout and usage errors to sys.stderr
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
             if "dialect" in args:
                 _check_lang(args)
     except SystemExit as e:
@@ -310,26 +311,19 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 file=out,
             )
 
-        elif args.command == "query":
+        else:  # query, equiv and facts read the KB, then the links, then the query
             store = _load_kb(args.kb, _read(args.kb))
-            try:
-                results = kb.answer(store, _parse(args.query))
-            except _INPUT_ERRORS as e:
-                raise _LineError("<query>", 1, str(e))
-            _print_results(store, results, args.porcelain, out)
-
-        elif args.command == "equiv":
-            store = _load_kb(args.kb, _read(args.kb))
-            eqs = _load_eq(args.eq)
-            try:
-                results = kb.answer_equiv(store, eqs, _parse(args.query))
-            except _INPUT_ERRORS as e:
-                raise _LineError("<query>", 1, str(e))
-            _print_results(store, results, args.porcelain, out)
-
-        elif args.command == "facts":
-            store = _load_kb(args.kb, _read(args.kb))
-            _write_lines(out, kb.dump_facts(store))
+            if args.command == "facts":
+                _write_lines(out, kb.dump_facts(store))
+            else:
+                eqs = _load_eq(args.eq) if args.command == "equiv" else None
+                try:
+                    query = _parse(args.query)
+                    results = (kb.answer(store, query) if eqs is None
+                               else kb.answer_equiv(store, eqs, query))
+                except _INPUT_ERRORS as e:
+                    raise _LineError("<query>", 1, str(e))
+                _print_results(store, results, args.porcelain, out)
 
     except (_LineError, OSError) as e:
         print(str(e), file=err)

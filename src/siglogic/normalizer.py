@@ -80,9 +80,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
     if dialect is Dialect.PYTHON:
         params, vararg = _params_untyped(args_text, args_at, dialect)
     else:
-        params, vararg = _params_typed(
-            args_text, args_at, dialect, sigils=dialect is Dialect.PHP
-        )
+        params, vararg = _params_typed(args_text, args_at, dialect)
 
     if vararg and not params:
         raise DialectParseError(
@@ -159,7 +157,7 @@ def _head(words, dialect):
 _VARARG = ("..", "...")
 
 
-def _params_typed(args_text, start, dialect, sigils: bool):
+def _params_typed(args_text, start, dialect):
     params = []
     vararg = False
     groups = args_text.split(",") if args_text.strip() else []
@@ -182,7 +180,7 @@ def _params_typed(args_text, start, dialect, sigils: bool):
                 dialect, at, "expected `type name` or `name`: %r" % group
             )
         name_at, name_tok = name_word
-        if sigils and name_tok.startswith("$"):
+        if dialect is Dialect.PHP and name_tok.startswith("$"):
             name_word = (name_at + 1, name_tok[1:])
         params.append(
             Param(

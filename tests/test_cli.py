@@ -456,6 +456,56 @@ def test_help_goes_to_the_given_stdout(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_calls_in_one_process_give_what_each_gives_alone(kb_path, full_store):
+    from siglogic import cli
+
+    calls = [
+        (["query", WILDCARD_QUERY, "--kb", kb_path, "--porcelain"], ""),
+        (["query", WILDCARD_QUERY, "--kb", kb_path], ""),
+        (["normalize", "--dialect", "java", "--lang", "java"], JAVA_MAX_RAW + "\n"),
+        (["normalize"], "java\tjava\t%s\n" % JAVA_MAX_RAW),
+        (["normalize", "--lang", "x"], ""),
+        (["compile"], JAVA_MAX + "\n"),
+        (["--help"], ""),
+        (["facts", "--kb", kb_path], ""),
+    ]
+    alone = []
+    for argv, stdin_text in calls:
+        cli._build_parser.cache_clear()  # a parser of its own, as in a fresh process
+        alone.append(_run(argv, stdin_text))
+    assert [_run(argv, stdin_text) for argv, stdin_text in calls] == alone
+    porcelain, plain, flagged, tabbed, usage, valid, help_, facts = alone
+    assert "\t" in porcelain[1] and "\t" not in plain[1]
+    assert flagged == tabbed == (0, JAVA_MAX + "\n", "")
+    assert usage[0] == 2 and valid == (0, valid[1], "")
+    assert help_[1].startswith("usage: siglogic") and help_[1] not in facts[1]
+    assert facts == (0, "".join(line + "\n" for line in dump_facts(full_store)), "")
+
+
+def test_the_parser_is_built_on_the_first_call_only(kb_path, monkeypatch):
+    import argparse
+    import importlib
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(siglogic, "cli", siglogic.cli)  # put back after the test
+    monkeypatch.delitem(sys.modules, "siglogic.cli")
+    fresh = importlib.import_module("siglogic.cli")
+    assert built == []
+    assert fresh.run(["facts", "--kb", kb_path], stdout=io.StringIO()) == 0
+    assert built
+    first = list(built)
+    for argv in (["facts", "--kb", kb_path], ["query", "-h"], ["normalize", "--lang", "x"]):
+        fresh.run(argv, stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO())
+    assert built == first
+
+
 def test_failed_ingest_leaves_kb_unchanged(kb_path, tmp_path, monkeypatch):
     import os
 
@@ -636,6 +686,90 @@ def test_invalid_utf8_on_stdin_is_a_line_diagnostic():
         code = run(["normalize"], stdin=stdin, stdout=out, stderr=err)
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue() == "<stdin>:2: invalid UTF-8: invalid start byte\n"
+
+
+_BREAKS = {"lf": ["\n"], "crlf": ["\r\n"], "cr": ["\r"], "mixed": ["\r\n", "\r", "\n"]}
+
+
+def _text(lines, breaks, final):
+    """lines, each ended by the next of breaks in turn; the last by none
+    unless final."""
+    text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+    return text if final else text.rstrip("\r\n")
+
+
+_LINKS = [
+    "java|java.math|BigInteger|shiftLeft|1\thaskell|Data.Bits|builtin|shiftL|2",
+    "haskell|Data.Bits|builtin|shiftL|2\tclojure|clojure.core|builtin|bit-shift-left|2",
+]
+_EQUIV_QUERY = "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> s?"
+
+# argv, its files' lines, and the file whose line 3 the bad case breaks
+_READERS = {
+    "facts": (["facts", "--kb", "kb.txt"], {"kb.txt": ALL_FIXTURE_SIGS}, "kb.txt"),
+    "query": (["query", WILDCARD_QUERY, "--kb", "kb.txt", "--porcelain"],
+              {"kb.txt": ALL_FIXTURE_SIGS}, "kb.txt"),
+    "equiv": (["equiv", _EQUIV_QUERY, "--kb", "kb.txt", "--eq", "links.txt"],
+              {"kb.txt": ALL_FIXTURE_SIGS, "links.txt": _LINKS}, "links.txt"),
+    "normalize": (["normalize", "in.txt"],
+                  {"in.txt": ["java\tjava\t" + JAVA_MAX_RAW, "php\tphp\t" + PHP_MAX_RAW,
+                              JAVA_MAX, PY_MAX]}, "in.txt"),
+    "compile": (["compile", "in.txt"], {"in.txt": ALL_FIXTURE_SIGS}, "in.txt"),
+}
+
+
+def _read_with_breaks(where, monkeypatch, reader, breaks, final, bad):
+    """What reader gives on its files written with breaks in where; if bad,
+    with line 3 of its broken file not a signature."""
+    argv, files, broken = _READERS[reader]
+    where.mkdir()
+    monkeypatch.chdir(where)  # the same relative paths in every diagnostic
+    for name, lines in files.items():
+        if bad and name == broken:
+            lines = lines[:2] + ["not a signature"] + lines[3:]
+        (where / name).write_bytes(_text(lines, breaks, final).encode())
+    return _run(argv)
+
+
+@pytest.mark.parametrize("final", [True, False], ids=["final-break", "no-final-break"])
+@pytest.mark.parametrize("breaks", list(_BREAKS.values()), ids=list(_BREAKS))
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_line_break_style_reads_as_newlines(tmp_path, monkeypatch, reader,
+                                                  breaks, final):
+    def read(name, breaks, final, bad):
+        return _read_with_breaks(tmp_path / name, monkeypatch, reader, breaks, final, bad)
+
+    good = read("lf", ["\n"], True, False)
+    assert good[0] == 0 and good[1] and good[2] == ""
+    assert read("styled", breaks, final, False) == good
+    bad = read("lf-bad", ["\n"], True, True)
+    assert bad[0] == 1 and bad[2].startswith(_READERS[reader][2] + ":3: ")
+    assert read("styled-bad", breaks, final, True) == bad
+
+
+@pytest.mark.parametrize("final", [True, False], ids=["final-break", "no-final-break"])
+@pytest.mark.parametrize("breaks", list(_BREAKS.values()), ids=list(_BREAKS))
+def test_ingest_keeps_the_kb_line_breaks_and_appends_newlines(tmp_path, breaks, final):
+    kb_file = tmp_path / "kb.txt"
+    before = _text(ALL_FIXTURE_SIGS[:3], breaks, final).encode()
+    kb_file.write_bytes(before)
+    new = ALL_FIXTURE_SIGS[3:]
+    code, _, err = _run(["ingest", "--kb", str(kb_file)], "".join(s + "\n" for s in new))
+    assert (code, err) == (0, "")
+    assert kb_file.read_bytes() == (
+        before + (b"" if final else b"\n") + "".join(s + "\n" for s in new).encode()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.text("a \r\n\u2028\xe9", max_size=12)] * 2)  # U+2028 ends no line
+def test_a_utf8_error_names_the_line_that_lines_reads(head, tail):
+    from siglogic import cli
+
+    # `#` marks where the bad byte goes: the line _lines puts it on
+    lineno = next(n for n, line in cli._lines(head + "#" + tail) if "#" in line)
+    with pytest.raises(cli._LineError, match=r"^p:%d: invalid UTF-8" % lineno):
+        cli._decode("p", head.encode() + b"\xff" + tail.encode())
 
 
 def test_query_language_is_lowercased_like_the_kb(kb_path):

@@ -24,6 +24,14 @@ def test_php_style_row_defaults_sigils_vararg():
     assert print_signature(sig) == PHP_MAX
 
 
+@pytest.mark.parametrize("dialect, raw, normalized", [
+    (Dialect.JAVA, "lang Math long f(int $x)", "java lang Math::f(int:$x) -> long"),
+    (Dialect.PHP, "mixed f(int $x, $y)", "php core builtin::f(int:x,UNK:y) -> mixed"),
+])
+def test_a_dollar_sigil_is_cut_only_in_php(dialect, raw, normalized):
+    assert print_signature(normalize(raw, dialect, dialect.value)) == normalized
+
+
 def test_java_style_defaults_when_namespace_missing():
     sig = normalize("Math long max(long a,long b)", Dialect.JAVA, "java")
     assert print_signature(sig) == "java core Math::max(long:a,long:b) -> long"
