@@ -19,14 +19,16 @@ match (`_LINE_RE`).  Any other text (an `EquivIn(` head, a `(?)` list,
 a malformed line) falls back to the scanner, which is also the only
 source of every ParseError.  Both paths share one value per distinct
 token and one frozen Param per distinct (type, name).  The KB reads a
-ground line from the same match into a row of token strings, with no
-Signature (`read_row`).
+ground line from the same match into a flat row of token strings,
+`(lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)`, with
+no Signature (`read_row`).
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from operator import attrgetter
 
 from .model import (
     EquivIn,
@@ -135,6 +137,9 @@ _LINE_RE = re.compile(
 )
 
 
+_token = attrgetter("token")
+
+
 def _slot(tok: str, mark: str) -> SlotValue:
     return Wildcard(tok) if mark else ground_slot(tok)
 
@@ -162,20 +167,14 @@ def parse_signature(text: str) -> Signature:
     )
 
 
-@functools.cache
-def _pair(groups) -> tuple:
-    """One shared (type, name) tuple per distinct `_PARAM_RE` match."""
-    return ground_slot(groups[0]).token, ground_slot(groups[2]).token
-
-
 def read_row(text: str):
-    """The FunctionKey and token row (`logic.signature_row`) of a ground
+    """The FunctionKey and flat token row `(lang, namespace, class, name,
+    ret, t1, n1, …, tn, nn, vararg)` (`logic.signature_row`) of a ground
     line, its language as every KB stores it (`lang_token`), or None.
 
     Every `?` of a matched line is a wildcard mark, so a matched line with
     none and a named function is ground.  Each token is the one the
-    model's shared `Const` holds (`ground_slot`), and each (type, name)
-    pair one shared tuple.
+    model's shared `Const` holds (`ground_slot`).
     """
     m = _LINE_RE.fullmatch(text)
     if m is None or "?" in text:
@@ -183,12 +182,10 @@ def read_row(text: str):
     g = m.groups()
     if g[6] == "UNK":
         return None
-    lang, namespace, class_name, name, ret = [
-        ground_slot(tok).token for tok in (lang_token(g[0]), g[2], g[4], g[6], g[10])
-    ]
-    params = tuple(map(_pair, _PARAM_RE.findall(text, *m.span(9)))) if g[8] else ()
-    key = FunctionKey._make((lang, namespace, class_name, name, len(params)))
-    return key, (lang, namespace, class_name, name, ret, params, g[9] is not None)
+    params = TOKEN_RE.findall(text, *m.span(9)) if g[8] else ()
+    tokens = lang_token(g[0]), g[2], g[4], g[6], g[10], *params
+    row = (*map(_token, map(ground_slot, tokens)), g[9] is not None)
+    return FunctionKey._make((*row[:4], len(params) // 2)), row
 
 
 def _scan_signature(text: str) -> Signature:

@@ -1,9 +1,10 @@
 """Ground-fact knowledge base and conjunctive query answering.
 
 The store is a table of the ingested functions by FunctionKey, each a
-flat row of shared token strings (`logic.signature_row`); the KB text
-stays the only store of record.  The CLI reads a ground KB line straight
-into its row (`dsl.read_row`), and a Signature is built again only for a
+flat row of shared token strings, `(lang, namespace, class, name, ret,
+t1, n1, …, tn, nn, vararg)` (`logic.signature_row`); the KB text stays
+the only store of record.  The CLI reads a ground KB line straight into
+its row (`dsl.read_row`), and a Signature is built again only for a
 printed result (`reconstruct_signature`).  Facts are derived on demand:
 a row's atom layout (`logic.signature_atoms`, which `compile_signature`
 lays out over binders) is laid out over witnesses.  `dump_facts` passes
@@ -15,13 +16,13 @@ equals a `Const`, so a witness cannot pass for a token).  Namespace
 witnesses are shared across functions of the same (lang, namespace);
 class witnesses across (lang, namespace, class).  Queries are
 signatures with wildcards.  Each is read once into a matcher
-(`_matcher`), run over the rows, that checks a stored function's arity
-and the query's constant slots before it reads any label, and returns
-the label pairs already sorted, so a result `Binding` is one tuple built
-as is; a query with a constant name, or else a constant ret, reads only
-the rows in that slot's posting list.  The backtracking unifier of the
-query's compiled atoms against the facts is kept as the oracle,
-`brute_force_answer`.
+(`_matcher`), run over the rows, that checks a stored row's length,
+its arity, and the query's constant slots (row position i is query slot
+i) before it reads any label, and returns the label pairs sorted, so a
+result `Binding` is one tuple built as is; a query with a constant name,
+or else a constant ret, reads only that slot's posting list.  The
+backtracking unifier of the query's compiled atoms against the facts is
+kept as the oracle, `brute_force_answer`.
 """
 
 from __future__ import annotations
@@ -112,22 +113,22 @@ class Binding(namedtuple("Binding", "key items")):
 
 
 class FactStore:
-    """Ingested functions by FunctionKey, each a row of token strings
-    `(lang, namespace, class, name, ret, ((type, name), …), vararg)`;
+    """Ingested functions by FunctionKey, each a flat row of token strings
+    `(lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)`;
     their facts are derived on demand.
 
     Besides the table the store keeps a running count of the facts and the
     (lang, namespace) and (lang, namespace, class) identities seen: their
     namespace and class atoms are the only facts functions share.  Its
-    posting lists, the keys by their name or by their ret token, are built
-    by `answer` on first use and all dropped when a new row is stored.
+    posting lists, `(key, row)` pairs by their name or their ret token,
+    are built by `answer` on first use and all dropped by a new row.
     """
 
     def __init__(self):
         self._rows = {}
         self._shared = set()
         self._size = 0
-        self._index = {}  # row position, 3 (name) or 4 (ret) -> {token: [keys]}
+        self._index = {}  # row position, 3 (name) or 4 (ret) -> {token: [items]}
 
     def __len__(self):
         return self._size
@@ -157,7 +158,7 @@ def _skolemize(key: FunctionKey, row, **build):
         fn_skolem(key),
         ns_skolem(*key[:2]),
         cls_skolem(*key[:3]),
-        tuple(param_skolem(key, j) for j in range(1, len(row[5]) + 1)),
+        tuple(param_skolem(key, j) for j in range(1, key.arity + 1)),
         **build,
     )
 
@@ -195,7 +196,7 @@ def ingest_row(store: FactStore, key: FunctionKey, row) -> int:
         raise KeyConflict("differing signature already stored for %s" % (key,))
     ns, cls = key[:2], key[:3]  # (lang, ns) and (lang, ns, class)
     shared = store._shared
-    added = 6 + 3 * len(row[5]) + (ns not in shared) + (cls not in shared)
+    added = 6 + 3 * key.arity + (ns not in shared) + (cls not in shared)
     shared.update((ns, cls))
     store._rows[key] = row
     store._index.clear()
@@ -205,11 +206,11 @@ def ingest_row(store: FactStore, key: FunctionKey, row) -> int:
 
 def reconstruct_signature(store: FactStore, key: FunctionKey) -> Signature:
     """The signature ingested under `key`, exactly as it was ingested."""
-    lang, namespace, class_name, name, ret, params, vararg = store._rows[key]
-    c = ground_slot
-    params = tuple(Param(c(t), c(n)) for t, n in params)
-    return Signature(c(lang), c(namespace), c(class_name), c(name), params,
-                     vararg=vararg, ret=c(ret))
+    row = store._rows[key]
+    lang, namespace, class_name, name, ret = map(ground_slot, row[:5])
+    terms = map(ground_slot, row[5:-1])  # read twice: each (type, name) one Param
+    params = tuple(map(Param, terms, terms))
+    return Signature(lang, namespace, class_name, name, params, vararg=row[-1], ret=ret)
 
 
 class EquivStore:
@@ -282,7 +283,7 @@ def answer(store: FactStore, query: Signature) -> set:
     """All bindings of the query's wildcards against the stored signatures.
 
     The query is read once into a matcher, which checks each stored
-    signature's arity, then the query's constant slots, then its repeated
+    row's length, then the query's constant slots, then its repeated
     labels, and returns the label pairs sorted, so each result is built
     as is (`Binding._make`).
     It runs over the posting list of the query's constant (UNK too) name,
@@ -298,9 +299,9 @@ def answer(store: FactStore, query: Signature) -> set:
             postings = store._index.get(at)
             if postings is None:
                 postings = store._index[at] = defaultdict(list)
-                for key, row in rows:
-                    postings[row[at]].append(key)
-            rows = ((key, store._rows[key]) for key in postings.get(slot.token, ()))
+                for item in rows:
+                    postings[item[1][at]].append(item)
+            rows = postings.get(slot.token, ())
             break
     results = set()
     for key, row in rows:
@@ -386,18 +387,19 @@ def _matcher(query: Signature):
     """A function from a stored row to the query's `(label, token)` pairs
     against it, sorted by label, or None when it does not match.
 
-    The query is read once into positions of a flat row: the five head
-    slots, then its k parameters' types and names.  Each call checks the
-    arity, flattens the row's first k parameters onto its head, compares
-    its constant slots, read by one itemgetter, with the query's tokens as
-    one tuple, checks that a repeated label reads equal values, and reads
-    each label's first position, in label order, by another itemgetter.
+    The query's slots are the stored layout's (`signature_row`), `(lang,
+    namespace, class, name, ret, t1, n1, …, tk, nk, vararg)`, so slot i is
+    read at row position i.  Each call checks the row's length (k or more
+    parameters, or exactly k), compares its constant slots, read by one
+    itemgetter, with the query's tokens as one tuple, checks that a
+    repeated label reads equal values, and reads each label's first
+    position, in label order, by another itemgetter.
     """
-    slots = [query.lang, query.namespace, query.class_name, query.head, query.ret]
-    for p in query.params:
-        slots += (p.type_slot, p.name_slot)
+    slots = signature_row(query, lambda slot: slot)
+    least = len(slots)
+    most = inf if query.params_wildcard or query.vararg else least
     consts, first, repeats = [], {}, []
-    for i, s in enumerate(slots):
+    for i, s in enumerate(slots[:-1]):  # the last is the vararg flag
         if not isinstance(s, Wildcard):
             consts.append(i)
         elif first.setdefault(s.label, i) != i:
@@ -406,19 +408,16 @@ def _matcher(query: Signature):
     read_consts = _reader(consts)
     tokens = read_consts(tuple(getattr(s, "token", None) for s in slots))
     read_labels = _reader([first[label] for label in labels])
-    k = len(query.params)
-    most = inf if query.params_wildcard or query.vararg else k
 
     def match(row):
-        if not k <= len(row[5]) <= most:
+        if not least <= len(row) <= most:
             return None
-        flat = sum(row[5][:k], row[:5]) if k else row
-        if read_consts(flat) != tokens:
+        if read_consts(row) != tokens:
             return None
         for i, j in repeats:
-            if flat[i] != flat[j]:
+            if row[i] != row[j]:
                 return None
-        return tuple(zip(labels, read_labels(flat)))
+        return tuple(zip(labels, read_labels(row)))
 
     return match
 

@@ -142,20 +142,20 @@ def _term(slot):
 
 
 def signature_row(sig: Signature, term=_term) -> tuple:
-    """sig as a row `(lang, namespace, class, name, ret, ((type, name), …),
-    vararg)`, each slot through `term`: by default its formula term (a
-    `Var` for a wildcard, else the `Const`); the KB stores token rows."""
-    return (
-        term(sig.lang), term(sig.namespace), term(sig.class_name),
-        term(sig.head), term(sig.ret),
-        tuple((term(p.type_slot), term(p.name_slot)) for p in sig.params),
-        sig.vararg,
-    )
+    """sig as a flat row `(lang, namespace, class, name, ret, t1, n1, …,
+    tn, nn, vararg)`, each slot through `term`: by default its formula
+    term (a `Var` for a wildcard, else the `Const`); the KB stores token
+    rows, and the matcher reads a query's slots from one."""
+    slots = [sig.lang, sig.namespace, sig.class_name, sig.head, sig.ret]
+    for p in sig.params:
+        slots += p.type_slot, p.name_slot
+    return (*map(term, slots), sig.vararg)
 
 
 def signature_atoms(row, v, f, n, c, xs,
                     atom=Atom, app=App, const=ground_slot) -> tuple:
-    """The 8 + 3n atoms of a signature's row of terms (`signature_row`).
+    """The 8 + 3n atoms of a signature's flat row of terms (`signature_row`),
+    `(lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)`.
 
     v, f, n and c stand for the value, function, namespace and class
     entities, xs for the parameters in order: binder variables when
@@ -165,7 +165,8 @@ def signature_atoms(row, v, f, n, c, xs,
     default, and their printed text (`call_text`, `str`) for
     `kb.dump_facts`, which passes the stored token strings as terms.
     """
-    lang, namespace, class_name, name, ret, params, _ = row
+    lang, namespace, class_name, name, ret = row[:5]
+    terms = iter(row[5:-1])  # zipped twice: one (type, name) pair a step
     atoms = [
         atom("fun", (f, name)),
         atom("eq", (v, app(name, xs))),
@@ -176,7 +177,7 @@ def signature_atoms(row, v, f, n, c, xs,
         atom("namespace", (n, namespace)),
         atom("in_namespace", (f, n)),
     ]
-    for i, ((type_term, name_term), x) in enumerate(zip(params, xs), 1):
+    for i, (x, type_term, name_term) in enumerate(zip(xs, terms, terms), 1):
         atoms.append(atom("var", (x, name_term)))
         atoms.append(atom("type", (x, type_term)))
         atoms.append(atom("has_param", (f, x, const(str(i)))))

@@ -39,7 +39,7 @@ class Const:
             raise ModelError("invalid constant token: %r" % (self.token,))
 
 
-@functools.cache  # a KB keeps each of its distinct tokens alive anyway
+@functools.cache  # unbounded: a token's Const outlives every row holding its string
 def ground_slot(tok: str) -> Const:
     """One shared Const per distinct token."""
     return Const(tok)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -338,6 +339,54 @@ def test_loading_a_ground_kb_builds_no_signature(kb_path, eq_path, load_work):
     assert _run(["facts", "--kb", kb_path])[0] == 1
     assert load_work[0] == "java lang Math::f?(long:a) -> long"
     assert isinstance(load_work[1], siglogic.Signature)
+
+
+def _kb_lines(rng, n):
+    """n ground KB lines in the benchmark corpus's style: a few languages,
+    namespaces, classes, types and parameter names, UNK among the types,
+    overloads by arity, and some `,...` lists."""
+    types = ("int", "long", "string", "bool", "UNK")
+    lines = {}
+    while len(lines) < n:
+        params = ["%s:%s" % (rng.choice(types), rng.choice("abcxyn"))
+                  for _ in range(rng.randint(0, 4))]
+        key = (rng.choice(("java", "python", "php")), rng.randrange(3),
+               rng.randrange(6), rng.randrange(40), len(params))
+        if params and rng.random() < 0.2:
+            params.append("...")
+        lines.setdefault(key, "%s ns%d C%d::f%d(%s) -> %s" % (
+            *key[:4], ",".join(params), rng.choice(types)))
+    return list(lines.values())
+
+
+def _strings(value):
+    """Every string in value, nested tuples walked."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _strings(item)
+
+
+def test_a_loaded_kb_shares_its_token_strings():
+    from siglogic import cli
+
+    lines = _kb_lines(random.Random(3), 300)
+    # the loader lowercases a language tag: the new string is shared too
+    text = "".join(
+        (re.sub(r"^\w+", lambda m: m[0].upper(), l) if i % 7 == 0 else l) + "\n"
+        for i, l in enumerate(lines)
+    )
+    built = FactStore()
+    for line in lines:
+        ingest_signature(built, parse_signature(line))
+    loaded = cli._load_kb("kb.txt", text)
+    assert loaded._rows == built._rows
+    tokens = {}
+    for store in (loaded, built):
+        for token in _strings(tuple(store._rows.items())):
+            assert tokens.setdefault(token, token) is token
+    assert len(tokens) > 50
 
 
 def test_facts_compiles_each_signature_once(kb_path, compile_calls):

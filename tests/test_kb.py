@@ -219,15 +219,27 @@ def test_vararg_query_is_minimum_arity(full_store):
     assert {b.key.name for b in results} == {"max", "shiftLeft"}
 
 
-@pytest.mark.parametrize(
-    "query",
-    [
-        # the constant in the third parameter is read before any label
-        "java N? C?::f?(t?:a?,t?:b?,long:c,...) -> r?",
-        "java N? C?::f?(long:a,u?:b?) -> long",
-        "java N? C?::f?(?) -> long",
-    ],
-)
+def _params_query(k, tail=""):
+    """A query of k explicit wildcard parameters, then tail."""
+    params = ",".join("t%d?:n%d?" % (j, j) for j in range(1, k + 1))
+    return "java N? C?::f?(%s%s) -> r?" % (params, tail)
+
+
+# The stored rows below have arities 0-4, without and (from 1) with `,...`:
+# 1, 2, 2, 3 and 2 rows of arity 0 to 4.  Each query maps to its answers' count.
+ARITY_ANSWERS = {
+    # the constant in the third parameter is read before any label
+    "java N? C?::f?(t?:a?,t?:b?,long:c,...) -> r?": 5,
+    "java N? C?::f?(long:a,u?:b?) -> long": 2,
+    "java N? C?::f?(?) -> long": 9,
+    "java N? C?::f?(?) -> r?": 10,
+    # k explicit parameters: rows of arity k, or with `,...` of k or more
+    **{_params_query(k): n for k, n in enumerate([1, 2, 2, 3, 2, 0])},
+    **{_params_query(k, ",..."): n for k, n in enumerate([9, 7, 5, 2, 0], 1)},
+}
+
+
+@pytest.mark.parametrize("query", ARITY_ANSWERS)
 def test_arity_is_checked_before_any_parameter_slot(query):
     store = FactStore()
     for text in [
@@ -236,12 +248,16 @@ def test_arity_is_checked_before_any_parameter_slot(query):
         "java lang Math::f2(long:a,int:b) -> long",
         "java lang Math::f3(long:a,long:b,long:c) -> long",
         "java lang Math::g3(long:a,long:b,long:c) -> int",
+        "java lang Math::f4(long:a,long:b,long:c,long:d) -> long",
+        "java lang Math::v1(long:a,...) -> long",
+        "java lang Math::v2(long:a,int:b,...) -> long",
+        "java lang Math::v3(long:a,long:b,long:c,...) -> long",
+        "java lang Math::v4(long:a,long:b,long:c,long:d,...) -> long",
     ]:
         _ingest(store, text)
-    query = parse_signature(query)
-    results = answer(store, query)
-    assert results
-    assert results == brute_force_answer(store, query)
+    results = answer(store, parse_signature(query))
+    assert len(results) == ARITY_ANSWERS[query]
+    assert results == brute_force_answer(store, parse_signature(query))
 
 
 def test_answer_rejects_equiv_head(max_store):
