@@ -10,6 +10,13 @@ were lifted from, plus a pass-through for already-normalized text:
 Missing information is filled with defaults: namespace -> core,
 class -> builtin, types and return -> UNK.  Language tags are lowercased,
 all but UNK (`model.lang_token`), so cross-language joins compare reliably.
+
+A raw parameter list is read as groups.  In java and php, commas split
+the groups and each is `type name` or `name`; in python each name is a
+group of its own, and commas or spaces split the names.  A one-word
+group is typed UNK, and php drops a leading `$` from a name.  A `..` or
+`...` group marks varargs: it must be last and follow a parameter.  The
+first fault in written order is the one reported.
 """
 
 from __future__ import annotations
@@ -77,15 +84,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
 
     head_text, args_text, args_at = _split_paren(raw, dialect)
     ns, cls, ret, name = _head(_words(head_text, 0), dialect)
-    if dialect is Dialect.PYTHON:
-        params, vararg = _params_untyped(args_text, args_at, dialect)
-    else:
-        params, vararg = _params_typed(args_text, args_at, dialect)
-
-    if vararg and not params:
-        raise DialectParseError(
-            dialect, args_at - 1, "vararg marker requires a preceding parameter"
-        )
+    params, vararg = _params(args_text, args_at, dialect)
     if name[1] == "UNK":  # ground, but a stored signature names its function
         raise DialectParseError(dialect, name[0], "function name may not be UNK")
     return Signature(
@@ -157,51 +156,41 @@ def _head(words, dialect):
 _VARARG = ("..", "...")
 
 
-def _params_typed(args_text, start, dialect):
-    params = []
-    vararg = False
-    groups = args_text.split(",") if args_text.strip() else []
-    for i, group in enumerate(groups):
-        words = _words(group, start)
-        at = words[0][0] if words else start
-        start += len(group) + 1  # past the group and its comma
-        group = group.strip()
+def _params(args_text, start, dialect):
+    """The params and vararg flag of a raw parameter list that starts at
+    `start` in raw, read group by group by the rules of the module docstring."""
+    if dialect is Dialect.PYTHON:
+        groups = _words(args_text.replace(",", " "), start)
+    else:
+        groups, at = [], start
+        for text in args_text.split(",") if args_text.strip() else ():
+            group = text.strip()
+            groups.append((at + text.find(group), group))  # at its first word, if any
+            at += len(text) + 1  # past the group and its comma
+    params, php = [], dialect is Dialect.PHP
+    for at, group in groups:
         if group in _VARARG:
-            if i != len(groups) - 1:
+            if (at, group) != groups[-1]:  # no two groups share an offset
                 raise DialectParseError(dialect, at, "vararg marker must be last")
-            vararg = True
-            continue
+            if not params:
+                raise DialectParseError(
+                    dialect, start - 1, "vararg marker requires a preceding parameter"
+                )
+            return params, True
+        words = group.split()
         if len(words) == 1:
-            type_word, name_word = None, words[0]
+            type_slot, name_at, name = UNK, at, group
         elif len(words) == 2:
-            type_word, name_word = words
+            type_slot, name = _const_tok((at, words[0]), dialect), words[1]
+            name_at = at + len(group) - len(name)  # the name ends the group
         else:
             raise DialectParseError(
                 dialect, at, "expected `type name` or `name`: %r" % group
             )
-        name_at, name_tok = name_word
-        if dialect is Dialect.PHP and name_tok.startswith("$"):
-            name_word = (name_at + 1, name_tok[1:])
-        params.append(
-            Param(
-                UNK if type_word is None else _const_tok(type_word, dialect),
-                _const_tok(name_word, dialect),
-            )
-        )
-    return params, vararg
-
-
-def _params_untyped(args_text, start, dialect):
-    # space-separated names, commas tolerated
-    vararg = False
-    names = _words(args_text.replace(",", " "), start)
-    if names and names[-1][1] in _VARARG:
-        names = names[:-1]
-        vararg = True
-    for at, name in names:
-        if name in _VARARG:
-            raise DialectParseError(dialect, at, "vararg marker must be last")
-    return [Param(UNK, _const_tok(n, dialect)) for n in names], vararg
+        if php and name.startswith("$"):
+            name_at, name = name_at + 1, name[1:]
+        params.append(Param(type_slot, _const_tok((name_at, name), dialect)))
+    return params, False
 
 
 def _const_tok(word, dialect):

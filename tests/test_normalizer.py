@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglogic.dsl import parse_signature, print_signature
 from siglogic.model import NotGround, is_ground, lang_token
 from siglogic.normalizer import Dialect, DialectParseError, normalize
 
 from conftest import JAVA_MAX, JAVA_MAX_RAW, PHP_MAX, PHP_MAX_RAW, PY_MAX, PY_MAX_RAW
-from strategies import ground_signatures
+from strategies import ground_signatures, tokens
 
 
 def test_java_style_row():
@@ -160,8 +161,19 @@ def test_normalized_dialect_error_states_the_offset_once():
     (Dialect.JAVA, "lang Math long max(long a) x", 26, "trailing text after ')'"),
     (Dialect.PYTHON, "a b c d(x)", 0, "expected `[module] [class] name(`"),
     (Dialect.PHP, "a b c(x)", 0, "expected `[returntype] name(`"),
+    # the first fault in written order, not the later misplaced marker
+    (Dialect.PYTHON, "decimal Context max(a#, .., b)", 20, "invalid token 'a#'"),
+    (Dialect.JAVA, "lang Math long max(long a#, .., long b)", 24,
+     "invalid token 'a#'"),
+    # an empty group after the last comma
+    (Dialect.JAVA, "lang Math long max(long a,)", 26,
+     "expected `type name` or `name`: ''"),
+    (Dialect.PHP, "mixed max(int $a b)", 10,
+     "expected `type name` or `name`: 'int $a b'"),
 ], ids=["bad-group", "misplaced-vararg", "invalid-token", "python-misplaced-vararg",
-        "vararg-alone", "unclosed", "trailing-text", "python-head", "php-head"])
+        "vararg-alone", "unclosed", "trailing-text", "python-head", "php-head",
+        "python-token-before-marker", "java-token-before-marker", "empty-last-group",
+        "php-three-words"])
 def test_error_offset_points_at_the_offending_occurrence(
     dialect, raw, offset, message
 ):
@@ -173,10 +185,38 @@ def test_error_offset_points_at_the_offending_occurrence(
     )
 
 
-def test_python_style_vararg():
-    sig = normalize("decimal Context max(a b ...)", Dialect.PYTHON, "python")
-    assert print_signature(sig) == (
-        "python decimal Context::max(UNK:a,UNK:b,...) -> UNK"
+@pytest.mark.parametrize("dialect, raw, normalized", [
+    (Dialect.PYTHON, "decimal Context max(a b ...)",
+     "python decimal Context::max(UNK:a,UNK:b,...) -> UNK"),
+    (Dialect.PYTHON, "decimal Context max(a, b c, ...)",
+     "python decimal Context::max(UNK:a,UNK:b,UNK:c,...) -> UNK"),
+    (Dialect.PYTHON, "max(a,,b)", "python core builtin::max(UNK:a,UNK:b) -> UNK"),
+    (Dialect.PYTHON, "max($a)", "python core builtin::max(UNK:$a) -> UNK"),
+    (Dialect.PHP, "mixed max(mixed $value1, $value2, ..)",
+     "php core builtin::max(mixed:value1,UNK:value2,...) -> mixed"),
+    (Dialect.JAVA, "max(long $a)", "java core builtin::max(long:$a) -> UNK"),
+], ids=["python-spaces-vararg", "python-commas-and-spaces",
+        "python-empty-between-commas", "python-keeps-sigil", "php-untyped-and-vararg",
+        "java-keeps-sigil"])
+def test_parameter_list_shapes(dialect, raw, normalized):
+    assert print_signature(normalize(raw, dialect, dialect.value)) == normalized
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(tokens.filter(lambda t: t not in ("..", "...")), min_size=1, max_size=5),
+    st.booleans(),
+    st.data(),
+)
+def test_python_names_read_the_same_whatever_separates_them(names, vararg, data):
+    names += ["..."] if vararg else []
+    seps = data.draw(st.lists(
+        st.sampled_from([",", " ", ", ", " , ", ",,", "\t"]),
+        min_size=len(names) - 1, max_size=len(names) - 1,
+    ))
+    raw = names[0] + "".join(sep + name for sep, name in zip(seps, names[1:]))
+    assert normalize("f(%s)" % raw, Dialect.PYTHON, "python") == normalize(
+        "f(%s)" % " ".join(names), Dialect.PYTHON, "python"
     )
 
 
