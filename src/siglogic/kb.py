@@ -7,9 +7,10 @@ the only store of record.  The CLI reads a ground KB line straight into
 its row (`dsl.read_row`), and a Signature is built again only for a
 printed result (`reconstruct_signature`).  Facts are derived on demand:
 a row's atom layout (`logic.signature_atoms`, which `compile_signature`
-lays out over binders) is laid out over witnesses.  `dump_facts` passes
-it the stored strings and `call_text` and `str` as builders, so each
-fact is built as its printed line; the oracle path (`FactStore.facts`,
+lays out over binders) is laid out over witnesses.  `dump_facts` lays
+it out once per row length and call, over template fields with
+`call_text` and `str` as builders, into `%`-templates of the printed
+lines that each row fills; the oracle path (`FactStore.facts`,
 `brute_force_answer`) passes `Const`s and builds `Atom`s.  A witness is
 a plain string derived from the function's identity (a `str` never
 equals a `Const`, so a witness cannot pass for a token).  Namespace
@@ -27,6 +28,7 @@ kept as the oracle, `brute_force_answer`.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict, namedtuple
 from math import inf
 from operator import attrgetter, itemgetter
@@ -455,17 +457,58 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
 
 
 def dump_facts(store: FactStore) -> list:
-    """All facts as canonical text atoms, sorted; deterministic."""
-    # Each fact is built once, as the line print_atom would give its Atom.
-    # Witness ids are injective, so only the facts functions share, those
-    # of a namespace or a class, can repeat: only they go through a set.
-    lines, shared = [], set()
+    """All facts as canonical text atoms, sorted; deterministic.
+
+    Each row is printed from the two `%`-templates of its length
+    (`_fact_templates`), built by the first such row of this call: one
+    fill and one split each.  Witnesses are injective, so only the facts
+    functions share, those of a namespace or a class, can repeat: only
+    they go through a set.
+    """
+    templates, lines, shared = {}, [], set()
     for key, row in store._rows.items():
-        for line in _skolemize(key, row, atom=call_text, app=call_text, const=str):
-            if line.startswith(("namespace(", "class(")):
-                shared.add(line)
-            else:
-                lines.append(line)
+        t = templates.get(len(row))
+        if t is None:
+            t = templates[len(row)] = _fact_templates(len(row))
+        own, read_own, common, read_common = t
+        lines += (own % read_own(row + (key.text,))).split("\n")
+        shared.update((common % read_common(row)).split("\n"))
     lines += shared
     lines.sort()
     return lines
+
+
+class _KeyField(FunctionKey):
+    """A key of template fields, its text the field `{-1}`, filled last."""
+
+    __slots__ = ()
+    text = "{-1}"
+
+
+_FIELD = re.compile(r"\{(-?\d+)\}")
+
+
+def _fact_templates(width: int) -> tuple:
+    """The printed facts of a stored row `width` long as two `%`-templates
+    of lines joined by `\\n`, each with the itemgetter of the values it is
+    filled with: the function's own facts, then the namespace and class
+    facts it shares.
+
+    They are `_skolemize` laid out once over fields: `{i}` for row
+    position i, which the key's first four fields are too (`read_row`,
+    `ingest_signature`), and `{-1}` for the key's text.  The layout treats
+    its terms as opaque strings, and no token holds `{`, `}`, `%` or a
+    line break (`TOKEN_RE`), so a filled template is the facts' printed
+    lines.
+    """
+    fields = tuple("{%d}" % i for i in range(width))
+    key = _KeyField._make((*fields[:4], (width - 6) // 2))
+    own, shared = [], []
+    for line in _skolemize(key, fields, atom=call_text, app=call_text, const=str):
+        (shared if line.startswith(("namespace(", "class(")) else own).append(line)
+    return (*_template(own), *_template(shared))
+
+
+def _template(lines) -> tuple:
+    text = "\n".join(lines)
+    return _FIELD.sub("%s", text), itemgetter(*map(int, _FIELD.findall(text)))

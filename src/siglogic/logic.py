@@ -163,7 +163,8 @@ def signature_atoms(row, v, f, n, c, xs,
     stored row.  `atom`, `app` and `const` build each atom, the
     application in `eq` and each `has_param` position: model objects by
     default, and their printed text (`call_text`, `str`) for
-    `kb.dump_facts`, which passes the stored token strings as terms.
+    `kb.dump_facts`, which passes template fields as terms and fills the
+    printed layout with each stored row's token strings.
     """
     lang, namespace, class_name, name, ret = row[:5]
     terms = iter(row[5:-1])  # zipped twice: one (type, name) pair a step

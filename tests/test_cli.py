@@ -261,7 +261,7 @@ def test_bad_links_key_is_a_line_diagnostic(kb_path, tmp_path, line, error):
 
 @pytest.fixture
 def compile_calls(monkeypatch):
-    """Signatures the KB lays out as atoms, counted at
+    """Rows the KB lays out as atoms, counted at
     `siglogic.kb.signature_atoms`."""
     from siglogic import kb
 
@@ -389,9 +389,15 @@ def test_a_loaded_kb_shares_its_token_strings():
     assert len(tokens) > 50
 
 
-def test_facts_compiles_each_signature_once(kb_path, compile_calls):
-    assert _run(["facts", "--kb", kb_path])[0] == 0
-    assert len(compile_calls) == len(ALL_FIXTURE_SIGS)
+def test_facts_lays_out_each_arity_once_per_call(kb_path, compile_calls):
+    # one layout per distinct row length, made again by every call: no
+    # template outlives the call that built it
+    widths = {len(parse_signature(t).params) * 2 + 6 for t in ALL_FIXTURE_SIGS}
+    assert len(widths) == 2  # arities 1 and 2
+    for _ in range(2):
+        compile_calls.clear()
+        assert _run(["facts", "--kb", kb_path])[0] == 0
+        assert sorted(map(len, compile_calls)) == sorted(widths)
 
 
 def test_facts_matches_in_memory_dump(kb_path):

@@ -4,7 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siglogic.dsl import parse_signature, print_signature
@@ -48,7 +48,7 @@ from conftest import (
     SHIFT_JAVA,
     WILDCARD_QUERY,
 )
-from strategies import ground_signatures, labels
+from strategies import ground_signatures, labels, tokens
 
 
 def _ingest(store, text):
@@ -496,6 +496,59 @@ def test_dump_facts_agrees_with_the_oracle_under_heavy_sharing():
         lines = dump_facts(store)
         assert lines == sorted({print_atom(a) for a in _derived_facts(store)})
         assert len(set(lines)) == len(lines) == len(store)
+
+
+@st.composite
+def _sharing_signatures(draw):
+    """Ground signatures of arity 0-12 over a few tokens of the whole
+    charset, UNK among them, so namespaces, classes and names repeat,
+    names overload at several arities, and keys re-ingest or conflict."""
+    pool = draw(st.lists(tokens, min_size=1, max_size=3, unique=True))
+    slot = st.sampled_from(pool + ["UNK"]).map(Const)
+    sigs = []
+    for _ in range(draw(st.integers(0, 12))):
+        arity = draw(st.one_of(st.integers(0, 12), st.sampled_from([1, 10])))
+        sigs.append(Signature(
+            lang=draw(st.sampled_from(["java", "php"]).map(Const)),
+            namespace=draw(slot),
+            class_name=draw(slot),
+            head=draw(st.sampled_from(pool).map(Const)),
+            params=tuple(Param(draw(slot), draw(slot)) for _ in range(arity)),
+            vararg=arity > 0 and draw(st.booleans()),
+            ret=draw(slot),
+        ))
+    return sigs
+
+
+def _overloads(*arities, vararg=False):
+    return [
+        Signature(
+            lang=Const("php"), namespace=Const("a.b"), class_name=UNK,
+            head=Const("$f'-x"),
+            params=tuple(Param(Const("it's"), Const("$v-%d" % i)) for i in range(n)),
+            vararg=vararg and n > 0, ret=Const("x.y$"),
+        )
+        for n in arities
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sharing_signatures())
+@example(_overloads(1, 10, 11, 12, 0))  # `…|1` is a prefix of `…|10`
+@example(_overloads(12, 2, 10, 1, vararg=True))
+def test_dump_facts_agrees_with_the_oracle_over_the_charset(sigs):
+    from siglogic.kb import _derived_facts
+    from siglogic.logic import print_atom
+
+    store = FactStore()
+    for sig in sigs:
+        try:
+            ingest_signature(store, sig)
+        except KeyConflict:
+            pass
+    lines = dump_facts(store)
+    assert lines == sorted({print_atom(a) for a in _derived_facts(store)})
+    assert len(lines) == len(store)
 
 
 def test_dump_empty_store():
