@@ -169,7 +169,7 @@ def parse_signature(text: str) -> Signature:
 
 def read_row(text: str):
     """The FunctionKey and flat token row `(lang, namespace, class, name,
-    ret, t1, n1, …, tn, nn, vararg)` (`logic.signature_row`) of a ground
+    ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`) of a ground
     line, its language as every KB stores it (`lang_token`), or None.
 
     Every `?` of a matched line is a wildcard mark, so a matched line with
@@ -211,11 +211,12 @@ def _scan_signature(text: str) -> Signature:
     vararg = False
     s.skip_ws()
     if s.peek() == "?":
+        mark = s.pos
         s.pos += 1
         params_wildcard = True
         s.skip_ws()
         if s.peek() == ",":
-            raise MixedWildcardParams(s.pos)
+            raise MixedWildcardParams(mark)
     elif s.peek() != ")":
         params.append(_scan_param(s))
         while True:

@@ -2,7 +2,7 @@
 
 The store is a table of the ingested functions by FunctionKey, each a
 flat row of shared token strings, `(lang, namespace, class, name, ret,
-t1, n1, …, tn, nn, vararg)` (`logic.signature_row`); the KB text stays
+t1, n1, …, tn, nn, vararg)` (`model.signature_row`); the KB text stays
 the only store of record.  The CLI reads a ground KB line straight into
 its row (`dsl.read_row`), and a Signature is built again only for a
 printed result (`reconstruct_signature`).  Facts are derived on demand:
@@ -44,7 +44,6 @@ from .logic import (
     compile_signature,
     expand_equiv,
     signature_atoms,
-    signature_row,
 )
 from .model import (
     Const,
@@ -55,6 +54,7 @@ from .model import (
     Wildcard,
     function_key,
     ground_slot,
+    signature_row,
     wildcard_labels,
 )
 
@@ -397,7 +397,7 @@ def _matcher(query: Signature):
     repeated label reads equal values, and reads each label's first
     position, in label order, by another itemgetter.
     """
-    slots = signature_row(query, lambda slot: slot)
+    slots = signature_row(query)
     least = len(slots)
     most = inf if query.params_wildcard or query.vararg else least
     consts, first, repeats = [], {}, []

@@ -26,6 +26,7 @@ from .model import (
     Wildcard,
     ground_slot,
     lang_token,
+    signature_row,
     wildcard_labels,
 )
 
@@ -141,17 +142,6 @@ def _term(slot):
     return Var(slot.label) if isinstance(slot, Wildcard) else slot
 
 
-def signature_row(sig: Signature, term=_term) -> tuple:
-    """sig as a flat row `(lang, namespace, class, name, ret, t1, n1, …,
-    tn, nn, vararg)`, each slot through `term`: by default its formula
-    term (a `Var` for a wildcard, else the `Const`); the KB stores token
-    rows, and the matcher reads a query's slots from one."""
-    slots = [sig.lang, sig.namespace, sig.class_name, sig.head, sig.ret]
-    for p in sig.params:
-        slots += p.type_slot, p.name_slot
-    return (*map(term, slots), sig.vararg)
-
-
 def signature_atoms(row, v, f, n, c, xs,
                     atom=Atom, app=App, const=ground_slot) -> tuple:
     """The 8 + 3n atoms of a signature's flat row of terms (`signature_row`),
@@ -200,7 +190,7 @@ def compile_signature(sig: Signature) -> Formula:
     )
     # until it is named, the i-th fixed binder is Var(i): no label is an int
     v, f, n, c, *xs = map(Var, range(len(fixed)))
-    atoms = signature_atoms(signature_row(sig), v, f, n, c, tuple(xs))
+    atoms = signature_atoms(signature_row(sig, _term), v, f, n, c, tuple(xs))
     names = _freshen(labels, fixed, atoms)
     binders = dict(zip(labels + tuple(range(len(fixed))), map(Var, names)))
     k = len(labels)

@@ -159,7 +159,7 @@ def not_ground_reason(sig: Signature) -> str | None:
         return "has an EquivIn head"
     if sig.head == UNK:
         return "names its function UNK"
-    if sig.params_wildcard or Wildcard in map(type, _slots(sig)):
+    if sig.params_wildcard or Wildcard in map(type, signature_row(sig)):
         return "contains wildcards"
     return None
 
@@ -175,23 +175,23 @@ def function_key(sig: Signature) -> FunctionKey:
     ))
 
 
-def _slots(sig: Signature):
-    """Every slot of sig in written order: language, namespace, class,
-    head, then each parameter (type before name), then the return slot.
-    """
-    yield sig.lang
-    yield sig.namespace
-    yield sig.class_name
-    if not isinstance(sig.head, EquivIn):
-        yield sig.head
+def signature_row(sig: Signature, term=None) -> tuple:
+    """sig as a flat row `(lang, namespace, class, name, ret, t1, n1, …,
+    tn, nn, vararg)`, each slot as is or through `term`; the one walk
+    over its slots.  The compiler reads a row of formula terms, the KB
+    stores token rows, and the matcher reads a query's slots from one."""
+    slots = [sig.lang, sig.namespace, sig.class_name, sig.head, sig.ret]
     for p in sig.params:
-        yield p.type_slot
-        yield p.name_slot
-    yield sig.ret
+        slots += p.type_slot, p.name_slot
+    return (*(slots if term is None else map(term, slots)), sig.vararg)
 
 
 def wildcard_labels(sig: Signature) -> list:
-    """Distinct wildcard labels in first-occurrence (written) order."""
+    """Distinct wildcard labels in first-occurrence (written) order:
+    language, namespace, class, head, each parameter (type before name),
+    then the return slot."""
+    row = signature_row(sig)
+    written = (*row[:4], *row[5:-1], row[4])
     return list(
-        dict.fromkeys(s.label for s in _slots(sig) if isinstance(s, Wildcard))
+        dict.fromkeys(s.label for s in written if isinstance(s, Wildcard))
     )

@@ -899,6 +899,21 @@ def test_equiv_head_without_a_concrete_language_is_a_diagnostic(
     )
 
 
+@pytest.mark.parametrize("command, error", [
+    ("query", "<query>:1: EquivIn queries go through answer_equiv"),
+    ("equiv", "<query>:1: expand_equiv requires an EquivIn head"),
+    ("compile", "<stdin>:1: EquivIn heads expand via expand_equiv"),
+])
+def test_a_head_of_the_wrong_kind_is_a_diagnostic(kb_path, eq_path, command, error):
+    equiv_query = "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> r?"
+    argv = {
+        "query": ["query", equiv_query, "--kb", kb_path],
+        "equiv": ["equiv", WILDCARD_QUERY, "--kb", kb_path, "--eq", eq_path],
+        "compile": ["compile"],
+    }[command]
+    assert _run(argv, equiv_query + "\n") == (1, "", error + "\n")
+
+
 _PY_BUILTIN_MAX = "python builtin builtin::max(UNK:a,UNK:b) -> UNK"
 
 

@@ -113,10 +113,13 @@ def test_print_equiv_and_list_wildcard():
 
 
 def test_mixed_wildcard_params_rejected():
-    with pytest.raises(MixedWildcardParams):
-        parse_signature("java lang Math::max(?,long:b) -> long")
-    with pytest.raises(MixedWildcardParams):
-        parse_signature("java lang Math::max(long:a,?) -> long")
+    # either form reports the offset of the `?` it names as found
+    for text in ["java lang Math::max( ?  ,long:b) -> long",
+                 "java lang Math::max(long:a, ?) -> long"]:
+        with pytest.raises(MixedWildcardParams) as e:
+            parse_signature(text)
+        assert e.value.byte_offset == text.index("?")
+        assert e.value.found == "'?'"
 
 
 def test_parse_error_reports_offset():

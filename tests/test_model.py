@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from operator import attrgetter
 
 import pytest
@@ -14,6 +15,7 @@ from siglogic.model import (
     NotGround,
     Param,
     Signature,
+    TOKEN_RE,
     Wildcard,
     function_key,
     ground_slot,
@@ -174,3 +176,18 @@ def test_function_key_requires_ground():
 def test_wildcard_labels_first_occurrence_order():
     sig = parse_signature("java N? C?::f?(t?:p?,t?:a) -> r?")
     assert wildcard_labels(sig) == ["N", "C", "f", "t", "p", "r"]
+
+
+_LABEL_RE = re.compile(r"(%s)\?" % TOKEN_RE.pattern)
+
+
+@settings(max_examples=500, deadline=None)
+@given(signatures())
+def test_wildcard_labels_and_groundness_read_as_the_printed_text(sig):
+    # the printed text spells each wildcard `label?`, in written order
+    text = print_signature(sig)
+    labels = list(dict.fromkeys(_LABEL_RE.findall(text)))
+    assert wildcard_labels(sig) == labels
+    if not isinstance(sig.head, EquivIn) and sig.head != UNK:
+        ground = not labels and not sig.params_wildcard
+        assert (not_ground_reason(sig) is None) == ground
