@@ -38,6 +38,7 @@ from .normalizer import Dialect
 
 _INPUT_ERRORS = (ValueError, kb.SourceNotFound)  # all siglogic input errors
 _DIALECTS = {d.value: d for d in Dialect}  # each dialect by its name
+_NORMALIZED = Dialect.NORMALIZED  # bound once: a member read off its class is slow
 
 
 class _LineError(Exception):
@@ -113,8 +114,7 @@ def _decode(path, data) -> str:
         raise _LineError(path, lineno, "invalid UTF-8: %s" % e.reason)
 
 
-# A line with the `\n`, `\r` or `\r\n` that ends it; the last may have none.
-_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+_LINE_RE = re.compile(dsl.ANY_LINE)
 
 
 def _lines(text):
@@ -171,9 +171,9 @@ def _input_sigs(args, stdin):
                 dialect = _DIALECTS.get(name)
                 if dialect is None:
                     raise ValueError("unknown dialect %r" % name)
-                if dialect is Dialect.NORMALIZED and tag:  # the text names its language
+                if dialect is _NORMALIZED and tag:  # the text names its language
                     raise ValueError("the normalized dialect takes no language tag")
-            sig = normalizer.normalize(raw, dialect or Dialect.NORMALIZED, tag or None)
+            sig = normalizer.normalize(raw, dialect or _NORMALIZED, tag or None)
         except _INPUT_ERRORS as e:
             raise _LineError(path, lineno, str(e))
         yield path, lineno, sig
@@ -181,15 +181,12 @@ def _input_sigs(args, stdin):
 
 def _load_kb(path, text) -> kb.FactStore:
     store = kb.FactStore()
-    for lineno, line in _lines(text):
+    for lineno, key, row in dsl.read_rows(text):
         try:
-            read = dsl.read_row(line)
-            if read is None:  # not ground; normalize says why
-                kb.ingest_signature(
-                    store, normalizer.normalize(line, Dialect.NORMALIZED)
-                )
+            if key is None:  # row is the line's text, not ground; normalize says why
+                kb.ingest_signature(store, normalizer.normalize(row, _NORMALIZED))
             else:
-                kb.ingest_row(store, *read)
+                kb.ingest_row(store, key, row)
         except _INPUT_ERRORS as e:
             raise _LineError(path, lineno, str(e))
     return store

@@ -18,10 +18,11 @@ line and every printed ground signature has, is read by one whole-line
 match (`_LINE_RE`).  Any other text (an `EquivIn(` head, a `(?)` list,
 a malformed line) falls back to the scanner, which is also the only
 source of every ParseError.  Both paths share one value per distinct
-token and one frozen Param per distinct (type, name).  The KB reads a
-ground line from the same match into a flat row of token strings,
-`(lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)`, with
-no Signature (`read_row`).
+token and one frozen Param per distinct (type, name).  A KB text is read
+in one pass of a pattern built from the same line grammar (`read_rows`),
+whose whitespace ends at a line break: each ground line goes into a flat
+row of token strings, `(lang, namespace, class, name, ret, t1, n1, …,
+tn, nn, vararg)`, with no Signature.
 """
 
 from __future__ import annotations
@@ -124,20 +125,43 @@ _TOKEN = r"%s(?!%s)" % (TOKEN_RE.pattern, TOKEN_RE.pattern)
 _SLOT = r"\s*(%s)(\??)" % _TOKEN
 _SLOT_RE = re.compile(_SLOT)
 _PARAM_RE = re.compile(_SLOT + r"\s*:" + _SLOT)
-_PARAM = r"\s*%s\??\s*:\s*%s\??" % (_TOKEN, _TOKEN)
-# A whole line with a plain head (not `EquivIn(`) and an explicit
-# parameter list, where `...` after a comma is the vararg marker, as the
-# scanner reads it.  Groups: lang, namespace, class and head (token and
-# mark each), the parameter span, the `,...` marker, and the return slot.
-_LINE_RE = re.compile(
-    _SLOT * 3 + r"\s*::(?!\s*EquivIn\()" + _SLOT
-    + r"\s*\(\s*(?:(%s(?:\s*,(?!\s*\.\.\.)%s)*)(\s*,\s*\.\.\.)?)?\s*\)"
-    % (_PARAM, _PARAM)
-    + r"\s*->" + _SLOT + r"\s*"
-)
+
+
+def _line(ws: str, mark: str) -> str:
+    """The pattern of a whole line with a plain head (not `EquivIn(`) and
+    an explicit parameter list, where `...` after a comma is the vararg
+    marker, as the scanner reads it; `ws` is its whitespace and `mark` a
+    token's wildcard mark.  Groups: lang, namespace, class and head (token
+    and mark each), the parameter span, the `,...` marker, and the return
+    slot."""
+    slot = "{0}({1})({2})".format(ws, _TOKEN, mark)
+    param = "{0}{1}{2}{0}:{0}{1}{2}".format(ws, _TOKEN, mark)
+    return (
+        r"{s}{s}{s}{w}::(?!{w}EquivIn\(){s}"
+        r"{w}\({w}(?:({p}(?:{w},(?!{w}\.\.\.){p})*)({w},{w}\.\.\.)?)?{w}\)"
+        r"{w}->{s}{w}"
+    ).format(s=slot, p=param, w=ws)
+
+
+_LINE_RE = re.compile(_line(r"\s*", r"\??"))
+
+# A line with the `\n`, `\r` or `\r\n` that ends it; the last may have none.
+ANY_LINE = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"
+
+
+@functools.cache  # compiled on the first load, not at import
+def _kb_re():
+    """One match per line of a KB text: a ground line and its break, whose
+    whitespace is in-line (a `\\s` would run across a break and join two
+    lines) and which holds no wildcard mark, or else any line (`ANY_LINE`)."""
+    return re.compile(
+        r"(?:%s)(?:\r\n?|\n|\Z)|%s" % (_line(r"[^\S\r\n]*", ""), ANY_LINE)
+    )
 
 
 _token = attrgetter("token")
+# `FunctionKey._make` without its Python-level call: the fields are checked
+_function_key = functools.partial(tuple.__new__, FunctionKey)
 
 
 def _slot(tok: str, mark: str) -> SlotValue:
@@ -167,25 +191,28 @@ def parse_signature(text: str) -> Signature:
     )
 
 
-def read_row(text: str):
-    """The FunctionKey and flat token row `(lang, namespace, class, name,
-    ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`) of a ground
-    line, its language as every KB stores it (`lang_token`), or None.
+def read_rows(text: str):
+    """Each line of a KB text read in one pass: `(lineno, key, row)` for a
+    ground line that names its function, and `(lineno, None, line)`, its
+    break cut, for any other line that is not blank.
 
-    Every `?` of a matched line is a wildcard mark, so a matched line with
-    none and a named function is ground.  Each token is the one the
-    model's shared `Const` holds (`ground_slot`).
+    The row is the line's flat token row `(lang, namespace, class, name,
+    ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`), its
+    language as every KB stores it (`lang_token`), and each token the one
+    the model's shared `Const` holds (`ground_slot`).  Lines end at `\\n`,
+    `\\r` or `\\r\\n` and are numbered from 1, blank ones included.
     """
-    m = _LINE_RE.fullmatch(text)
-    if m is None or "?" in text:
-        return None
-    g = m.groups()
-    if g[6] == "UNK":
-        return None
-    params = TOKEN_RE.findall(text, *m.span(9)) if g[8] else ()
-    tokens = lang_token(g[0]), g[2], g[4], g[6], g[10], *params
-    row = (*map(_token, map(ground_slot, tokens)), g[9] is not None)
-    return FunctionKey._make((*row[:4], len(params) // 2)), row
+    for lineno, m in enumerate(_kb_re().finditer(text), start=1):
+        lang, ns, cls, name, span, vararg, ret = m.group(1, 3, 5, 7, 9, 10, 11)
+        if lang is None or name == "UNK":
+            line = m.group()
+            if line.strip():
+                yield lineno, None, line.rstrip("\r\n")
+            continue
+        params = TOKEN_RE.findall(span) if span else ()
+        tokens = lang_token(lang), ns, cls, name, ret, *params
+        row = (*map(_token, map(ground_slot, tokens)), vararg is not None)
+        yield lineno, _function_key((*row[:4], len(params) // 2)), row
 
 
 def _scan_signature(text: str) -> Signature:

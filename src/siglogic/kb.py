@@ -3,9 +3,9 @@
 The store is a table of the ingested functions by FunctionKey, each a
 flat row of shared token strings, `(lang, namespace, class, name, ret,
 t1, n1, …, tn, nn, vararg)` (`model.signature_row`); the KB text stays
-the only store of record.  The CLI reads a ground KB line straight into
-its row (`dsl.read_row`), and a Signature is built again only for a
-printed result (`reconstruct_signature`).  Facts are derived on demand:
+the only store of record.  The CLI reads each ground KB line straight
+into its row (`dsl.read_rows`), and a Signature is built again only for
+a printed result (`reconstruct_signature`).  Facts are derived on demand:
 a row's atom layout (`logic.signature_atoms`, which `compile_signature`
 lays out over binders) is laid out over witnesses.  `dump_facts` lays
 it out once per row length and call, over template fields with
@@ -495,8 +495,8 @@ def _fact_templates(width: int) -> tuple:
     facts it shares.
 
     They are `_skolemize` laid out once over fields: `{i}` for row
-    position i, which the key's first four fields are too (`read_row`,
-    `ingest_signature`), and `{-1}` for the key's text.  The layout treats
+    position i, which the key's first four fields are too, as a stored
+    key's are its row's first four, and `{-1}` for the key's text.  The layout treats
     its terms as opaque strings, and no token holds `{`, `}`, `%` or a
     line break (`TOKEN_RE`), so a filled template is the facts' printed
     lines.

@@ -46,6 +46,13 @@ class Dialect(enum.Enum):
     PHP = "php"
     NORMALIZED = "normalized"
 
+    # by identity, as members compare: `Enum.__hash__` is a Python-level call
+    __hash__ = object.__hash__
+
+
+# Bound once: each read of a member off its class is a Python-level lookup.
+_NORMALIZED, _PYTHON, _PHP = Dialect.NORMALIZED, Dialect.PYTHON, Dialect.PHP
+
 
 class DialectParseError(ValueError):
     def __init__(self, dialect: Dialect, position: int, message: str):
@@ -64,7 +71,7 @@ def normalize(raw: str, dialect: Dialect, lang_tag: str | None = None) -> Signat
     if lang_tag is not None and not TOKEN_RE.fullmatch(lang_tag):
         raise ValueError("invalid language tag: %r" % (lang_tag,))
 
-    if dialect is Dialect.NORMALIZED:
+    if dialect is _NORMALIZED:
         try:
             sig = dsl.parse_signature(raw)
         except dsl.ParseError as e:
@@ -159,7 +166,7 @@ _VARARG = ("..", "...")
 def _params(args_text, start, dialect):
     """The params and vararg flag of a raw parameter list that starts at
     `start` in raw, read group by group by the rules of the module docstring."""
-    if dialect is Dialect.PYTHON:
+    if dialect is _PYTHON:
         groups = _words(args_text.replace(",", " "), start)
     else:
         groups, at = [], start
@@ -167,7 +174,7 @@ def _params(args_text, start, dialect):
             group = text.strip()
             groups.append((at + text.find(group), group))  # at its first word, if any
             at += len(text) + 1  # past the group and its comma
-    params, php = [], dialect is Dialect.PHP
+    params, php = [], dialect is _PHP
     for at, group in groups:
         if group in _VARARG:
             if (at, group) != groups[-1]:  # no two groups share an offset

@@ -561,6 +561,29 @@ def test_the_parser_is_built_on_the_first_call_only(kb_path, monkeypatch):
     assert built == first
 
 
+def test_the_kb_pattern_is_compiled_on_the_first_load_only(kb_path, monkeypatch):
+    import importlib
+
+    compiled = []
+    compile_ = re.compile
+
+    def counting_compile(pattern, flags=0):
+        compiled.append(pattern)
+        return compile_(pattern, flags)
+
+    monkeypatch.setattr(re, "compile", counting_compile)
+    for name in ("cli", "dsl"):  # imported afresh, put back after the test
+        monkeypatch.delattr(siglogic, name)
+        monkeypatch.delitem(sys.modules, "siglogic." + name)
+    fresh = importlib.import_module("siglogic.cli")
+    imported = len(compiled)
+    for _ in range(2):
+        assert fresh.run(["facts", "--kb", kb_path], stdout=io.StringIO()) == 0
+    pattern = fresh.dsl._kb_re().pattern
+    assert pattern not in compiled[:imported]
+    assert compiled[imported:].count(pattern) == 1
+
+
 def test_failed_ingest_leaves_kb_unchanged(kb_path, tmp_path, monkeypatch):
     import os
 
@@ -1055,6 +1078,8 @@ def _loaded(load, text):
 
 
 _PUNCT = re.compile(r"(::|->|[(),:])")
+# Whitespace to Python (`str.isspace`, `\s`) that ends no KB line
+_ODD_SPACES = ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"]
 
 
 @st.composite
@@ -1084,9 +1109,10 @@ def _kb_line(draw, earlier):
             sig = dataclasses.replace(sig, lang=Const(sig.lang.token.upper()))
     text = print_signature(sig)
     if draw(st.booleans()):  # whitespace around the punctuation, none inside a token
-        space = st.sampled_from(["", " ", "  ", "\t"])
+        space = st.sampled_from(["", " ", "  ", "\t", *_ODD_SPACES])
         text = _PUNCT.sub(lambda m: draw(space) + m.group() + draw(space), text)
-        text = draw(space) + text.replace(" ", draw(st.sampled_from([" ", " \t "]))) + draw(space)
+        between = draw(st.sampled_from([" ", " \t ", *_ODD_SPACES]))
+        text = draw(space) + text.replace(" ", between) + draw(space)
     if draw(st.integers(0, 19)) == 0:  # a character dropped or put in
         i = draw(st.integers(0, len(text)))
         text = text[:i] + draw(st.sampled_from(["", ":", "(", ",", "?", " x"])) + text[i + 1:]
@@ -1095,10 +1121,15 @@ def _kb_line(draw, earlier):
 
 @st.composite
 def _kb_text(draw):
-    earlier = []
-    return "".join(
-        draw(_kb_line(earlier)) + "\n" for _ in range(draw(st.integers(1, 6)))
-    )
+    """KB lines, blank and whitespace-only ones among them, each ended by
+    `\\n`, `\\r\\n` or `\\r`, the last maybe by none."""
+    earlier, text, end = [], "", ""
+    blank = st.sampled_from(["", " ", "\t", *_ODD_SPACES])
+    for _ in range(draw(st.integers(1, 8))):
+        line = draw(_kb_line(earlier)) if draw(st.integers(0, 3)) else draw(blank)
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text += line + end
+    return text[:-len(end)] if draw(st.booleans()) else text
 
 
 @settings(max_examples=100, deadline=None)

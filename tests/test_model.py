@@ -23,7 +23,7 @@ from siglogic.model import (
     not_ground_reason,
     wildcard_labels,
 )
-from siglogic.dsl import parse_signature, print_signature, read_row
+from siglogic.dsl import parse_signature, print_signature, read_rows
 from siglogic.logic import signature_row
 from siglogic.normalizer import lowercase_lang
 
@@ -95,11 +95,15 @@ def test_unk_slots_count_as_ground():
 def test_groundness_read_from_the_line_match_agrees_with_the_walk(sig):
     # sig is built by hand, so not_ground_reason walks its slots; the KB
     # line reader reads exactly the ground lines, as the library stores them
-    read = read_row(print_signature(sig))
-    assert (read is not None) == (not_ground_reason(sig) is None)
-    if read is not None:
+    text = print_signature(sig)
+    [(lineno, key, row)] = read_rows(text)
+    assert lineno == 1
+    assert (key is not None) == (not_ground_reason(sig) is None)
+    if key is None:
+        assert row == text
+    else:
         stored = lowercase_lang(sig)
-        assert read == (function_key(stored), signature_row(stored, attrgetter("token")))
+        assert (key, row) == (function_key(stored), signature_row(stored, attrgetter("token")))
 
 
 def test_function_key_fields():
