@@ -21,15 +21,14 @@ source of every ParseError.  Both paths share one value per distinct
 token and one frozen Param per distinct (type, name).  A KB text is read
 in one pass of a pattern built from the same line grammar (`read_rows`),
 whose whitespace ends at a line break: each ground line goes into a flat
-row of token strings, `(lang, namespace, class, name, ret, t1, n1, …,
-tn, nn, vararg)`, with no Signature.
+row of token strings with no Signature, one string per distinct token
+of the text, shared through a table of the read's own.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from operator import attrgetter
 
 from .model import (
     EquivIn,
@@ -159,7 +158,6 @@ def _kb_re():
     )
 
 
-_token = attrgetter("token")
 # `FunctionKey._make` without its Python-level call: the fields are checked
 _function_key = functools.partial(tuple.__new__, FunctionKey)
 
@@ -198,10 +196,11 @@ def read_rows(text: str):
 
     The row is the line's flat token row `(lang, namespace, class, name,
     ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`), its
-    language as every KB stores it (`lang_token`), and each token the one
-    the model's shared `Const` holds (`ground_slot`).  Lines end at `\\n`,
-    `\\r` or `\\r\\n` and are numbered from 1, blank ones included.
+    language as every KB stores it (`lang_token`), each distinct token one
+    string through this call's own table, not a model cache.  Lines end at
+    `\\n`, `\\r` or `\\r\\n` and are numbered from 1, blank ones included.
     """
+    share = {}.setdefault
     for lineno, m in enumerate(_kb_re().finditer(text), start=1):
         lang, ns, cls, name, span, vararg, ret = m.group(1, 3, 5, 7, 9, 10, 11)
         if lang is None or name == "UNK":
@@ -211,7 +210,7 @@ def read_rows(text: str):
             continue
         params = TOKEN_RE.findall(span) if span else ()
         tokens = lang_token(lang), ns, cls, name, ret, *params
-        row = (*map(_token, map(ground_slot, tokens)), vararg is not None)
+        row = (*map(share, tokens, tokens), vararg is not None)
         yield lineno, _function_key((*row[:4], len(params) // 2)), row
 
 

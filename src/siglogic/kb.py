@@ -1,9 +1,9 @@
 """Ground-fact knowledge base and conjunctive query answering.
 
 The store is a table of the ingested functions by FunctionKey, each a
-flat row of shared token strings, `(lang, namespace, class, name, ret,
-t1, n1, …, tn, nn, vararg)` (`model.signature_row`); the KB text stays
-the only store of record.  The CLI reads each ground KB line straight
+flat row of token strings shared per load, `(lang, namespace, class,
+name, ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`); the KB
+text stays the only store of record.  The CLI reads each ground KB line
 into its row (`dsl.read_rows`), and a Signature is built again only for
 a printed result (`reconstruct_signature`).  Facts are derived on demand:
 a row's atom layout (`logic.signature_atoms`, which `compile_signature`
@@ -116,8 +116,8 @@ class Binding(namedtuple("Binding", "key items")):
 
 class FactStore:
     """Ingested functions by FunctionKey, each a flat row of token strings
-    `(lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)`;
-    their facts are derived on demand.
+    `(lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)`, one
+    string per distinct token of one load; their facts are derived on demand.
 
     Besides the table the store keeps a running count of the facts and the
     (lang, namespace) and (lang, namespace, class) identities seen: their

@@ -382,11 +382,38 @@ def test_a_loaded_kb_shares_its_token_strings():
         ingest_signature(built, parse_signature(line))
     loaded = cli._load_kb("kb.txt", text)
     assert loaded._rows == built._rows
+    # one string per distinct token across the load's keys and rows together
     tokens = {}
-    for store in (loaded, built):
-        for token in _strings(tuple(store._rows.items())):
-            assert tokens.setdefault(token, token) is token
+    for token in _strings(tuple(loaded._rows.items())):
+        assert tokens.setdefault(token, token) is token
     assert len(tokens) > 50
+
+
+def test_a_dropped_kb_load_leaves_nothing_behind():
+    import gc
+    import tracemalloc
+
+    from siglogic import cli, model
+
+    before = model.ground_slot.cache_info()
+    cli._load_kb("kb.txt", "\n".join(_kb_lines(random.Random(4), 50)))  # compiles _kb_re
+    # tokens no other load has seen: a process-wide cache would keep each one
+    text = "".join(
+        "java ns%d C%d::leak%d(T%d:p%d) -> R%d\n" % ((i,) * 6) for i in range(500)
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = cli._load_kb("kb.txt", text)
+        loaded = tracemalloc.get_traced_memory()[0]
+        del store
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert model.ground_slot.cache_info() == before
+    # a share of the load, not a byte count, which varies with the Python build
+    assert left < 0.03 * loaded, (left, loaded)
 
 
 def test_facts_lays_out_each_arity_once_per_call(kb_path, compile_calls):
