@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import itertools
 import os
 import re
 import shutil
@@ -241,8 +242,7 @@ def _print_results(store, results, porcelain, out):
     ordered = sorted(results)
     lines = [] if ordered else ["0 results"]
     for i, binding in enumerate(ordered):
-        sig = kb.reconstruct_signature(store, binding.key)
-        line = dsl.print_signature(sig)
+        line = dsl.print_row(store._rows[binding.key])
         if porcelain:
             fields = [line] + ["%s=%s" % kv for kv in binding.items]
             lines.append("\t".join(fields))
@@ -289,19 +289,16 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             store = _load_kb(args.kb, text)
             if text and not text.endswith(("\n", "\r")):
                 text += "\n"  # else the first new line joins the KB's last
+            loaded = len(store._rows)  # rows past these are new: a repeat is not stored
             new_facts = 0
-            new_sigs = []
             for path, lineno, sig in entries:
                 try:
-                    added = kb.ingest_signature(store, sig)
+                    new_facts += kb.ingest_signature(store, sig)
                 except _INPUT_ERRORS as e:
                     raise _LineError(path, lineno, str(e))
-                if added:
-                    new_sigs.append(sig)
-                new_facts += added
+            new_rows = itertools.islice(store._rows.values(), loaded, None)
             _write_atomically(
-                args.kb,
-                text + "".join(dsl.print_signature(s) + "\n" for s in new_sigs),
+                args.kb, text + "".join(dsl.print_row(r) + "\n" for r in new_rows)
             )
             print(
                 "ingested %d signatures, %d new facts" % (len(entries), new_facts),

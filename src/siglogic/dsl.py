@@ -11,7 +11,9 @@ Grammar (whitespace between top-level tokens is insignificant):
 
 The printer emits the canonical form: single spaces between the three
 leading slots, no space around "::", params comma-separated without
-spaces, " -> " before the return slot.
+spaces, " -> " before the return slot.  It prints a flat row of slot
+strings (`print_row`), a Signature's read through `model.signature_row`,
+so a stored row prints as it is.
 
 A line with a plain head and an explicit parameter list, as every KB
 line and every printed ground signature has, is read by one whole-line
@@ -40,6 +42,7 @@ from .model import (
     Wildcard,
     ground_slot,
     lang_token,
+    signature_row,
 )
 
 
@@ -282,29 +285,24 @@ def _scan_param(s: _Scanner) -> Param:
     return _param(*type_text, *s.slot_text("a parameter name"))
 
 
-def _slot_str(slot: SlotValue) -> str:
+def _slot_str(slot: SlotValue | EquivIn) -> str:
+    if isinstance(slot, EquivIn):
+        return "EquivIn(%s,%s)" % (slot.base_name, slot.target_lang)
     return slot.label + "?" if isinstance(slot, Wildcard) else slot.token
 
 
 def print_signature(sig: Signature) -> str:
-    if isinstance(sig.head, EquivIn):
-        head = "EquivIn(%s,%s)" % (sig.head.base_name, sig.head.target_lang)
-    else:
-        head = _slot_str(sig.head)
-    if sig.params_wildcard:
-        params = "?"
-    else:
-        params = ",".join(
-            "%s:%s" % (_slot_str(p.type_slot), _slot_str(p.name_slot))
-            for p in sig.params
-        )
-        if sig.vararg:
+    params = "?" if sig.params_wildcard else None
+    return print_row(signature_row(sig, _slot_str), params)
+
+
+def print_row(row, params=None) -> str:
+    """The line of a flat row of slot strings `(lang, namespace, class,
+    head, ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`), its
+    parameter list spelled `params` if given (the `?` of a `(?)` list)."""
+    if params is None:
+        tokens = row[5:-1]
+        params = ",".join(("%s:%s",) * (len(tokens) // 2)) % tokens
+        if row[-1]:
             params += ",..."
-    return "%s %s %s::%s(%s) -> %s" % (
-        _slot_str(sig.lang),
-        _slot_str(sig.namespace),
-        _slot_str(sig.class_name),
-        head,
-        params,
-        _slot_str(sig.ret),
-    )
+    return "%s %s %s::%s(%s) -> %s" % (*row[:4], params, row[4])

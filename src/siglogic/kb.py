@@ -4,8 +4,9 @@ The store is a table of the ingested functions by FunctionKey, each a
 flat row of token strings shared per load, `(lang, namespace, class,
 name, ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`); the KB
 text stays the only store of record.  The CLI reads each ground KB line
-into its row (`dsl.read_rows`), and a Signature is built again only for
-a printed result (`reconstruct_signature`).  Facts are derived on demand:
+into its row (`dsl.read_rows`) and prints a stored function from its row
+(`dsl.print_row`); a Signature is built again (`reconstruct_signature`)
+only for a library caller and the oracle.  Facts are derived on demand:
 a row's atom layout (`logic.signature_atoms`, which `compile_signature`
 lays out over binders) is laid out over witnesses.  `dump_facts` lays
 it out once per row length and call, over template fields with

@@ -39,7 +39,7 @@ class Const:
             raise ModelError("invalid constant token: %r" % (self.token,))
 
 
-@functools.cache  # unbounded: parsed, normalized and printed signatures' tokens
+@functools.cache  # unbounded: parsed, normalized and rebuilt signatures' tokens
 def ground_slot(tok: str) -> Const:
     """One shared Const per distinct token."""
     return Const(tok)

@@ -416,6 +416,23 @@ def test_a_dropped_kb_load_leaves_nothing_behind():
     assert left < 0.03 * loaded, (left, loaded)
 
 
+def test_printing_query_results_adds_nothing_to_the_slot_cache(tmp_path):
+    from siglogic import cli, model
+
+    # result tokens that nothing else parses, so the cache holds none of them
+    line = "zz-rows ns.rows Rows$C::rows'f(Rows$T:rows_p,...) -> Rows$R"
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text(line + "\n", encoding="utf-8")
+    query = "l? N? C?::f?(?) -> r?"
+    cli._parse(query)  # the query's own tokens are cached by any parse
+    before = model.ground_slot.cache_info().currsize
+    for porcelain in ([], ["--porcelain"]):
+        code, out, err = _run(["query", query, "--kb", str(kb_file), *porcelain])
+        assert (code, err) == (0, "")
+        assert out.startswith(line)
+    assert model.ground_slot.cache_info().currsize == before
+
+
 def test_facts_lays_out_each_arity_once_per_call(kb_path, compile_calls):
     # one layout per distinct row length, made again by every call: no
     # template outlives the call that built it
@@ -758,6 +775,28 @@ def test_ingest_into_kb_without_final_newline(tmp_path):
     assert code == 0, err
     assert kb_file.read_text(encoding="utf-8") == JAVA_MAX + "\n" + min_sig + "\n"
     assert _run(["facts", "--kb", str(kb_file)])[0] == 0
+
+
+def test_ingest_appends_each_new_line_once_in_input_order(tmp_path):
+    kb_file = tmp_path / "kb.txt"
+    old = JAVA_MAX + "\n" + JAVA_MAX  # a repeated line and no final newline
+    kb_file.write_text(old, encoding="utf-8")
+    min_sig = "java lang Math::min(long:a) -> long"
+    batch = [
+        min_sig,
+        JAVA_MAX,  # already stored
+        "JAVA lang Math::abs(int:a,...) -> int",  # stored lowercased
+        min_sig,  # a repeat within the batch
+        "python builtins builtin::len(UNK:x) -> int",
+    ]
+    code, out, err = _run(["ingest", "--kb", str(kb_file)], "\n".join(batch))
+    assert (code, err) == (0, "")
+    # 9 each for min and abs, 11 for len with its new namespace and class
+    assert out == "ingested 5 signatures, 29 new facts\n"
+    new = [min_sig, "java lang Math::abs(int:a,...) -> int", batch[-1]]
+    assert kb_file.read_text(encoding="utf-8") == old + "\n" + "".join(
+        s + "\n" for s in new
+    )
 
 
 # `\r\n` and a lone `\r` both end a line: the bad byte is on line 3.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siglogic.dsl import parse_signature, print_signature
+from siglogic.dsl import parse_signature, print_row, print_signature
 from siglogic.kb import (
     Binding,
     KeyConflict,
@@ -549,6 +549,9 @@ def test_dump_facts_agrees_with_the_oracle_over_the_charset(sigs):
     lines = dump_facts(store)
     assert lines == sorted({print_atom(a) for a in _derived_facts(store)})
     assert len(lines) == len(store)
+    assert [print_row(row) for row in store._rows.values()] == [
+        print_signature(reconstruct_signature(store, key)) for key in store.keys
+    ]
 
 
 def test_dump_empty_store():
