@@ -13,7 +13,9 @@ A KB is a plain text file of normalized signatures, one per line; it is
 re-read on every load, and `ingest` extends it atomically (the whole new
 file is written beside it, then renamed over it).  An equivalence file
 holds one link per line: two tab-separated keys, each
-`lang|namespace|class|name|arity`.
+`lang|namespace|class|name|arity`.  Both files are read in one pass of
+one pattern each; a line the pattern does not read goes to the line's
+own checks, so its diagnostic is the one a line-by-line read gives.
 
 All input is read as UTF-8; a leading byte-order mark is dropped, so
 `ingest` writes the KB back without one.  Exit codes: 0 success,
@@ -34,7 +36,7 @@ import shutil
 import sys
 
 from . import dsl, kb, logic, normalizer
-from .model import TOKEN_RE, FunctionKey
+from .model import KEY_TEXT, TOKEN_RE, FunctionKey, lang_token, unchecked_key
 from .normalizer import Dialect
 
 _INPUT_ERRORS = (ValueError, kb.SourceNotFound)  # all siglogic input errors
@@ -181,15 +183,20 @@ def _input_sigs(args, stdin):
 
 
 def _load_kb(path, text) -> kb.FactStore:
+    """The store of a KB text: each line's row stored under its key, a
+    repeat once, and then the facts of all its keys counted at once
+    (`kb.count_facts`)."""
     store = kb.FactStore()
+    put = store._rows.setdefault
     for lineno, key, row in dsl.read_rows(text):
         try:
             if key is None:  # row is the line's text, not ground; normalize says why
-                kb.ingest_signature(store, normalizer.normalize(row, _NORMALIZED))
-            else:
-                kb.ingest_row(store, key, row)
+                key, row = kb.keyed_row(normalizer.normalize(row, _NORMALIZED))
+            if put(key, row) != row:
+                raise kb.key_conflict(key)
         except _INPUT_ERRORS as e:
             raise _LineError(path, lineno, str(e))
+    kb.count_facts(store, store.keys)
     return store
 
 
@@ -213,9 +220,28 @@ def _write_atomically(path, text):
         raise
 
 
+@functools.cache  # compiled on the first links load, not at import
+def _links_re():
+    """`dsl.lines_re` of a links line of two well-formed keys."""
+    return dsl.lines_re(KEY_TEXT + r"\t" + KEY_TEXT)
+
+
 def _load_eq(path) -> kb.EquivStore:
+    """The links of a links file, read in one pass: a line of two
+    well-formed keys is read by one match, and any other line that is not
+    blank through `FunctionKey.parse`, which says what is wrong with it."""
     eqs = kb.EquivStore()
-    for lineno, line in _lines(_read(path)):
+    for lineno, m in enumerate(_links_re().finditer(_read(path)), start=1):
+        fields = m.groups()
+        if fields[0] is not None:
+            eqs.add_eq(
+                unchecked_key((lang_token(fields[0]), *fields[1:4], int(fields[4]))),
+                unchecked_key((lang_token(fields[5]), *fields[6:9], int(fields[9]))),
+            )
+            continue
+        line = m.group().rstrip("\r\n")
+        if not line.strip():
+            continue
         try:
             halves = line.split("\t")
             if len(halves) != 2:

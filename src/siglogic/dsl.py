@@ -34,7 +34,6 @@ import re
 
 from .model import (
     EquivIn,
-    FunctionKey,
     Param,
     Signature,
     SlotValue,
@@ -43,6 +42,7 @@ from .model import (
     ground_slot,
     lang_token,
     signature_row,
+    unchecked_key,
 )
 
 
@@ -151,18 +151,18 @@ _LINE_RE = re.compile(_line(r"\s*", r"\??"))
 ANY_LINE = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"
 
 
+def lines_re(line: str):
+    """The compiled pattern with one match per line of a text: a whole
+    line that `line` matches, and its break, or else any line (`ANY_LINE`)."""
+    return re.compile(r"(?:%s)(?:\r\n?|\n|\Z)|%s" % (line, ANY_LINE))
+
+
 @functools.cache  # compiled on the first load, not at import
 def _kb_re():
-    """One match per line of a KB text: a ground line and its break, whose
-    whitespace is in-line (a `\\s` would run across a break and join two
-    lines) and which holds no wildcard mark, or else any line (`ANY_LINE`)."""
-    return re.compile(
-        r"(?:%s)(?:\r\n?|\n|\Z)|%s" % (_line(r"[^\S\r\n]*", ""), ANY_LINE)
-    )
-
-
-# `FunctionKey._make` without its Python-level call: the fields are checked
-_function_key = functools.partial(tuple.__new__, FunctionKey)
+    """`lines_re` of a ground KB line, whose whitespace is in-line (a `\\s`
+    would run across a break and join two lines) and which holds no
+    wildcard mark."""
+    return lines_re(_line(r"[^\S\r\n]*", ""))
 
 
 def _slot(tok: str, mark: str) -> SlotValue:
@@ -214,7 +214,7 @@ def read_rows(text: str):
         params = TOKEN_RE.findall(span) if span else ()
         tokens = lang_token(lang), ns, cls, name, ret, *params
         row = (*map(share, tokens, tokens), vararg is not None)
-        yield lineno, _function_key((*row[:4], len(params) // 2)), row
+        yield lineno, unchecked_key((*row[:4], len(params) // 2)), row
 
 
 def _scan_signature(text: str) -> Signature:

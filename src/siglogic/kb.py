@@ -4,14 +4,16 @@ The store is a table of the ingested functions by FunctionKey, each a
 flat row of token strings shared per load, `(lang, namespace, class,
 name, ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`); the KB
 text stays the only store of record.  The CLI reads each ground KB line
-into its row (`dsl.read_rows`) and prints a stored function from its row
+into its row (`dsl.read_rows`), counts a load's facts once from its keys
+(`count_facts`) and prints a stored function from its row
 (`dsl.print_row`); a Signature is built again (`reconstruct_signature`)
 only for a library caller and the oracle.  Facts are derived on demand:
 a row's atom layout (`logic.signature_atoms`, which `compile_signature`
 lays out over binders) is laid out over witnesses.  `dump_facts` lays
 it out once per row length and call, over template fields with
 `call_text` and `str` as builders, into `%`-templates of the printed
-lines that each row fills; the oracle path (`FactStore.facts`,
+lines: a row's own facts per row, the namespace and class facts they
+share once per identity the store keeps; the oracle path (`FactStore.facts`,
 `brute_force_answer`) passes `Const`s and builds `Atom`s.  A witness is
 a plain string derived from the function's identity (a `str` never
 equals a `Const`, so a witness cannot pass for a token).  Namespace
@@ -179,30 +181,49 @@ _token = attrgetter("token")
 
 def ingest_signature(store: FactStore, sig: Signature) -> int:
     """Store sig as a row of its tokens (`ingest_row`), compiling nothing."""
-    key = function_key(sig)  # raises NotGround for a non-ground signature
-    return ingest_row(store, key, signature_row(sig, _token))
+    return ingest_row(store, *keyed_row(sig))
+
+
+def keyed_row(sig: Signature) -> tuple:
+    """A ground signature's key and token row; else it raises NotGround."""
+    return function_key(sig), signature_row(sig, _token)
 
 
 def ingest_row(store: FactStore, key: FunctionKey, row) -> int:
     """Store a ground function's token row under its key; returns how many
-    facts it adds.
+    facts it adds (`count_facts`).
 
-    That is 6 + 3n for n params, plus its namespace and class atoms when
-    they are new.  Re-ingesting the identical row adds nothing; any other
-    row under a stored key, even one differing only in the vararg flag,
-    raises KeyConflict.
+    Re-ingesting the identical row adds nothing; any other row under a
+    stored key, even one differing only in the vararg flag, raises
+    KeyConflict.
     """
     stored = store._rows.get(key)
     if stored is not None:
         if stored == row:
             return 0
-        raise KeyConflict("differing signature already stored for %s" % (key,))
-    ns, cls = key[:2], key[:3]  # (lang, ns) and (lang, ns, class)
-    shared = store._shared
-    added = 6 + 3 * key.arity + (ns not in shared) + (cls not in shared)
-    shared.update((ns, cls))
+        raise key_conflict(key)
     store._rows[key] = row
     store._index.clear()
+    return count_facts(store, (key,))
+
+
+def key_conflict(key: FunctionKey) -> KeyConflict:  # a differing row under key
+    return KeyConflict("differing signature already stored for %s" % (key,))
+
+
+_NAMESPACE, _CLASS, _ARITY = itemgetter(slice(2)), itemgetter(slice(3)), itemgetter(4)
+
+
+def count_facts(store: FactStore, keys) -> int:
+    """Count the newly stored `keys` into the store's facts; returns how
+    many they add: 6 + 3n each for n params, plus a namespace and a class
+    atom for each (lang, namespace) and (lang, namespace, class) new to it.
+    """
+    shared = store._shared
+    seen = len(shared)
+    shared.update(map(_NAMESPACE, keys))
+    shared.update(map(_CLASS, keys))
+    added = 6 * len(keys) + 3 * sum(map(_ARITY, keys)) + len(shared) - seen
     store._size += added
     return added
 
@@ -460,21 +481,23 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
 def dump_facts(store: FactStore) -> list:
     """All facts as canonical text atoms, sorted; deterministic.
 
-    Each row is printed from the two `%`-templates of its length
+    Each row's own facts are printed from the `%`-template of its length
     (`_fact_templates`), built by the first such row of this call: one
-    fill and one split each.  Witnesses are injective, so only the facts
-    functions share, those of a namespace or a class, can repeat: only
-    they go through a set.
+    fill and one split a row.  The namespace and class facts functions
+    share are printed once per identity in `store._shared`, not per row.
     """
-    templates, lines, shared = {}, [], set()
+    templates, lines = {}, []
     for key, row in store._rows.items():
         t = templates.get(len(row))
         if t is None:
             t = templates[len(row)] = _fact_templates(len(row))
-        own, read_own, common, read_common = t
+        (own, read_own), shared = t
         lines += (own % read_own(row + (key.text,))).split("\n")
-        shared.update((common % read_common(row)).split("\n"))
-    lines += shared
+    # the shared templates read no parameter, so any row's are right, and
+    # a store without rows has no identities
+    for identity in store._shared:
+        common, read_common = shared[len(identity)]
+        lines.append(common % read_common(identity))
     lines.sort()
     return lines
 
@@ -490,10 +513,10 @@ _FIELD = re.compile(r"\{(-?\d+)\}")
 
 
 def _fact_templates(width: int) -> tuple:
-    """The printed facts of a stored row `width` long as two `%`-templates
-    of lines joined by `\\n`, each with the itemgetter of the values it is
-    filled with: the function's own facts, then the namespace and class
-    facts it shares.
+    """The printed facts of a stored row `width` long as `%`-templates,
+    each with the itemgetter of the values it is filled with: the
+    function's own facts as lines joined by `\\n`, and the namespace and
+    class facts it shares by the length (2, 3) of the identity they read.
 
     They are `_skolemize` laid out once over fields: `{i}` for row
     position i, which the key's first four fields are too, as a stored
@@ -504,10 +527,13 @@ def _fact_templates(width: int) -> tuple:
     """
     fields = tuple("{%d}" % i for i in range(width))
     key = _KeyField._make((*fields[:4], (width - 6) // 2))
-    own, shared = [], []
+    own, shared = [], {}
     for line in _skolemize(key, fields, atom=call_text, app=call_text, const=str):
-        (shared if line.startswith(("namespace(", "class(")) else own).append(line)
-    return (*_template(own), *_template(shared))
+        if line.startswith(("namespace(", "class(")):
+            shared[1 + max(map(int, _FIELD.findall(line)))] = _template([line])
+        else:
+            own.append(line)
+    return _template(own), shared
 
 
 def _template(lines) -> tuple:

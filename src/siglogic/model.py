@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 # Character set of concrete tokens, the DSL grammar's `token`.  `|` and
 # `:` lie outside it, so the KB's `|`-joined witness ids are injective.
 TOKEN_RE = re.compile(r"[A-Za-z0-9._$'-]+")
+# A key's text, `lang|namespace|class|name|arity` (`FunctionKey.text`): four
+# tokens and an arity of ASCII digits, each a group.
+KEY_TEXT = r"({0})\|({0})\|({0})\|({0})\|([0-9]+)".format(TOKEN_RE.pattern)
 
 
 class ModelError(ValueError):
@@ -135,17 +138,31 @@ class FunctionKey(namedtuple("FunctionKey", "lang namespace class_name name arit
 
     @classmethod
     def parse(cls, text: str) -> FunctionKey:
-        """The key `text` spells, its language as every KB stores it."""
-        fields = text.split("|")
-        if len(fields) != 5:
-            raise ModelError("expected `lang|ns|class|name|arity`")
-        lang, namespace, class_name, name, arity = fields
-        # ASCII digits only: `int` would also read `+2`, `2_0`, ` 2` and `\u0662`
-        if not (arity.isascii() and arity.isdigit()):
-            raise ModelError("invalid arity %r" % arity)
-        # the fields are checked as written, then the language stored
-        key = cls(lang, namespace, class_name, name, int(arity))
-        return key._replace(lang=lang_token(lang))
+        """The key `text` spells, its language as every KB stores it.
+
+        A text that is not `KEY_TEXT` is checked field by field, as
+        written, and the first fault found is raised.
+        """
+        m = _key_re().fullmatch(text)
+        if m is None:
+            fields = text.split("|")
+            if len(fields) != 5:
+                raise ModelError("expected `lang|ns|class|name|arity`")
+            # ASCII digits only: `int` would also read `+2`, `2_0`, ` 2` and `\u0662`
+            if not (fields[4].isascii() and fields[4].isdigit()):
+                raise ModelError("invalid arity %r" % fields[4])
+            cls(*fields[:4], 0)  # raises for the first invalid token
+        lang, namespace, class_name, name, arity = m.groups()
+        return cls._make((lang_token(lang), namespace, class_name, name, int(arity)))
+
+
+# `FunctionKey._make` without its Python-level call, for fields already checked
+unchecked_key = functools.partial(tuple.__new__, FunctionKey)
+
+
+@functools.cache  # compiled on the first parse, not at import
+def _key_re():
+    return re.compile(KEY_TEXT)
 
 
 def is_ground(sig: Signature) -> bool:

@@ -1204,3 +1204,166 @@ def test_the_row_reader_loads_as_the_library_does(text):
     from siglogic.cli import _load_kb
 
     assert _loaded(_load_kb, text) == _loaded(_reference_load, text)
+
+
+@st.composite
+def _ground_kb_lines(draw):
+    """KB lines of ground signatures, some repeated, in any order, each
+    language tag as drawn, upper-cased or with its case swapped."""
+    lines = [print_signature(s) for s in draw(st.lists(ground_signatures, min_size=1, max_size=6))]
+    lines += draw(st.lists(st.sampled_from(lines), max_size=4))
+    case = st.sampled_from([str, str.upper, str.swapcase])
+    return [
+        draw(case)(tag) + " " + rest
+        for tag, rest in (line.split(" ", 1) for line in draw(st.permutations(lines)))
+    ]
+
+
+def _counted(store):
+    return len(store), store._shared, dump_facts(store)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ground_kb_lines(), _ground_kb_lines())
+def test_a_loaded_kb_counts_what_line_by_line_ingest_counts(lines, batch):
+    import tempfile
+
+    from siglogic import cli
+    from siglogic.kb import _derived_facts
+    from siglogic.logic import print_atom
+    from siglogic.normalizer import Dialect, normalize
+
+    text = "".join(line + "\n" for line in lines)
+    try:
+        built = _reference_load("kb.txt", text)
+    except cli._LineError as e:  # two bodies under one key, tags aside
+        with pytest.raises(cli._LineError) as raised:
+            cli._load_kb("kb.txt", text)
+        assert str(raised.value) == str(e)
+        return
+    loaded = cli._load_kb("kb.txt", text)
+    assert _counted(loaded) == _counted(built)
+    # and both print what the oracle derives from the rows, a fact a line
+    facts = sorted({print_atom(a) for a in _derived_facts(loaded)})
+    assert dump_facts(loaded) == facts and len(loaded) == len(facts)
+
+    # ingest onto the loaded KB counts the facts each new line adds
+    new_facts, error = 0, None
+    for lineno, line in enumerate(batch, start=1):
+        try:
+            new_facts += ingest_signature(built, normalize(line, Dialect.NORMALIZED))
+        except ValueError as e:
+            error = "<stdin>:%d: %s\n" % (lineno, e)
+            break
+    with tempfile.TemporaryDirectory() as tmp:
+        kb_file = os.path.join(tmp, "kb.txt")
+        with open(kb_file, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = _run(["ingest", "--kb", kb_file], "".join(l + "\n" for l in batch))
+        if error is not None:
+            assert (code, out, err) == (1, "", error)
+            return
+        assert (code, err) == (0, "")
+        assert out == "ingested %d signatures, %d new facts\n" % (len(batch), new_facts)
+        with open(kb_file, encoding="utf-8") as fh:
+            assert _counted(cli._load_kb(kb_file, fh.read())) == _counted(built)
+
+    # a repeat differing in its return, after a blank line, fails at its own line
+    conflict = re.sub(r"\S+$", lambda m: m[0] + "x", lines[0])
+    with pytest.raises(cli._LineError, match=re.escape(
+            "kb.txt:%d: differing signature already stored for " % (len(lines) + 2))):
+        cli._load_kb("kb.txt", text + "\n" + conflict + "\n")
+
+
+def _reference_key(text):
+    """A links key checked field by field as written, then its language
+    lowercased."""
+    from siglogic.model import FunctionKey, lang_token
+
+    fields = text.split("|")
+    if len(fields) != 5:
+        raise ValueError("expected `lang|ns|class|name|arity`")
+    lang, namespace, class_name, name, arity = fields
+    if not (arity.isascii() and arity.isdigit()):
+        raise ValueError("invalid arity %r" % arity)
+    return FunctionKey(lang_token(lang), namespace, class_name, name, int(arity))
+
+
+def _reference_links(path, text):
+    """A links text read line by line: two tab-separated keys a line."""
+    from siglogic import cli
+    from siglogic.kb import EquivStore
+
+    eqs = EquivStore()
+    for lineno, line in cli._lines(text):
+        try:
+            halves = line.split("\t")
+            if len(halves) != 2:
+                raise ValueError("expected two tab-separated keys")
+            eqs.add_eq(*map(_reference_key, halves))
+        except ValueError as e:
+            raise cli._LineError(path, lineno, str(e))
+    return eqs
+
+
+def _mostly(good, other):
+    """good 49 draws in 50, else other."""
+    return st.integers(0, 49).flatmap(lambda n: good if n else other)
+
+
+_link_field = _mostly(
+    st.sampled_from(["java", "JAVA", "Php", "UNK", "unk", "ns0", "C1", "f$2", "a.b'-c"]),
+    st.text(alphabet="aZ09._$'-+ |\t", max_size=5),
+)
+_link_arity = _mostly(
+    st.sampled_from(["0", "2", "07", "12"]),
+    st.text(alphabet="0123456789+_ -a", max_size=3),
+)
+_link_key = st.builds(
+    lambda fields, arity: "|".join(fields + [arity]),
+    _mostly(st.lists(_link_field, min_size=4, max_size=4),
+            st.lists(_link_field, min_size=3, max_size=5)),
+    _link_arity,
+)
+_links_line = _mostly(
+    st.lists(_link_key, min_size=2, max_size=2).map("\t".join)
+    | st.sampled_from(["", "", " \t "]),
+    st.lists(_link_key, min_size=1, max_size=3).map("\t".join),
+)
+
+
+@st.composite
+def _links_text(draw):
+    """Links lines, near the key grammar or not, each ended by `\\n`,
+    `\\r\\n` or `\\r`, the last maybe by none."""
+    text, end = "", ""
+    for _ in range(draw(st.integers(1, 8))):
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text += draw(_links_line) + end
+    return text[:-len(end)] if draw(st.booleans()) else text
+
+
+def _links_read(load, path, text):
+    """Each linked key's class, or the load's `path:line:` diagnostic."""
+    from siglogic.cli import _LineError
+
+    try:
+        eqs = load(path, text)
+    except _LineError as e:
+        return str(e)
+    return {key: eqs.class_of(key) for key in eqs._class}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_links_text())
+def test_the_one_pass_links_reader_reads_as_the_line_reader_does(text):
+    import tempfile
+
+    from siglogic import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "links.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got = _links_read(lambda p, _: cli._load_eq(p), path, text)
+    assert got == _links_read(_reference_links, path, text)
