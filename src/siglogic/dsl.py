@@ -19,8 +19,9 @@ A line with a plain head and an explicit parameter list, as every KB
 line and every printed ground signature has, is read by one whole-line
 match (`_LINE_RE`).  Any other text (an `EquivIn(` head, a `(?)` list,
 a malformed line) falls back to the scanner, which is also the only
-source of every ParseError.  Both paths share one value per distinct
-token and one frozen Param per distinct (type, name).  A KB text is read
+source of every ParseError.  Both paths share one Const per distinct
+token, one Wildcard per distinct label and one frozen Param per distinct
+(type, name).  A KB text is read
 in one pass of a pattern built from the same line grammar (`read_rows`),
 whose whitespace ends at a line break: each ground line goes into a flat
 row of token strings with no Signature, one string per distinct token
@@ -37,12 +38,14 @@ from .model import (
     Param,
     Signature,
     SlotValue,
+    TOKEN_CHAR,
     TOKEN_RE,
     Wildcard,
     ground_slot,
     lang_token,
     signature_row,
     unchecked_key,
+    wildcard_slot,
 )
 
 
@@ -121,8 +124,9 @@ class _Scanner:
 
 
 # A token ends only where the scanner's greedy match ends it, so a
-# backtracking match never splits one token into two.
-_TOKEN = r"%s(?!%s)" % (TOKEN_RE.pattern, TOKEN_RE.pattern)
+# backtracking match never splits one token into two.  One character of
+# lookahead says so; a possessive `++` would too, but needs Python 3.11.
+_TOKEN = r"%s(?!%s)" % (TOKEN_RE.pattern, TOKEN_CHAR)
 # Whitespace, then a slot's token and its wildcard mark as two groups.
 _SLOT = r"\s*(%s)(\??)" % _TOKEN
 _SLOT_RE = re.compile(_SLOT)
@@ -166,7 +170,7 @@ def _kb_re():
 
 
 def _slot(tok: str, mark: str) -> SlotValue:
-    return Wildcard(tok) if mark else ground_slot(tok)
+    return wildcard_slot(tok) if mark else ground_slot(tok)
 
 
 @functools.cache

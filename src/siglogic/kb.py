@@ -24,7 +24,8 @@ signatures with wildcards.  Each is read once into a matcher
 its arity, and the query's constant slots (row position i is query slot
 i) before it reads any label, and returns the label pairs sorted, so a
 result `Binding` is one tuple built as is; a query with a constant name,
-or else a constant ret, reads only that slot's posting list.  The
+or else a constant ret, reads only that slot's posting list, and one with
+neither but an exact parameter list only the rows of its length.  The
 backtracking unifier of the query's compiled atoms against the facts is
 kept as the oracle, `brute_force_answer`.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict, namedtuple
+from functools import partial
 from math import inf
 from operator import attrgetter, itemgetter
 
@@ -100,7 +102,8 @@ class Binding(namedtuple("Binding", "key items")):
     assignments, `(label, token)` pairs sorted by label.
 
     It equals, hashes and orders like its tuple `(key, items)`.  Building
-    one sorts `items`; `_make` skips that, for pairs already sorted.
+    one sorts `items`; `_binding` builds one as is, for pairs already
+    sorted.
     `binding[label]` reads a label's token, an int index a field.
     """
 
@@ -117,6 +120,10 @@ class Binding(namedtuple("Binding", "key items")):
         return self.mapping[at] if isinstance(at, str) else tuple.__getitem__(self, at)
 
 
+# `Binding._make` without its Python-level call, for pairs already sorted
+_binding = partial(tuple.__new__, Binding)
+
+
 class FactStore:
     """Ingested functions by FunctionKey, each a flat row of token strings
     `(lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)`, one
@@ -125,15 +132,17 @@ class FactStore:
     Besides the table the store keeps a running count of the facts and the
     (lang, namespace) and (lang, namespace, class) identities seen: their
     namespace and class atoms are the only facts functions share.  Its
-    posting lists, `(key, row)` pairs by their name or their ret token,
-    are built by `answer` on first use and all dropped by a new row.
+    posting lists, `(key, row)` pairs by their name token, their ret token
+    or their row's length, are built by `answer` on first use and all
+    dropped by a new row.
     """
 
     def __init__(self):
         self._rows = {}
         self._shared = set()
         self._size = 0
-        self._index = {}  # row position, 3 (name) or 4 (ret) -> {token: [items]}
+        # 3 (name) or 4 (ret) -> {token: [items]}; len -> {row length: [items]}
+        self._index = {}
 
     def __len__(self):
         return self._size
@@ -208,7 +217,7 @@ def ingest_row(store: FactStore, key: FunctionKey, row) -> int:
 
 
 def key_conflict(key: FunctionKey) -> KeyConflict:  # a differing row under key
-    return KeyConflict("differing signature already stored for %s" % (key,))
+    return KeyConflict("differing signature already stored for %s" % key.text)
 
 
 _NAMESPACE, _CLASS, _ARITY = itemgetter(slice(2)), itemgetter(slice(3)), itemgetter(4)
@@ -309,29 +318,36 @@ def answer(store: FactStore, query: Signature) -> set:
     The query is read once into a matcher, which checks each stored
     row's length, then the query's constant slots, then its repeated
     labels, and returns the label pairs sorted, so each result is built
-    as is (`Binding._make`).
+    as is (`_binding`).
     It runs over the posting list of the query's constant (UNK too) name,
-    else of its constant ret, built on the first query that needs it; a
-    query with neither reads every row.
+    else of its constant ret, else, for an exact parameter list of k
+    params, of the rows `6 + 2k` long, built on the first query that needs
+    it; a `,...` or `(?)` query with neither constant reads every row.
     """
     if isinstance(query.head, EquivIn):
         raise UnsupportedHead("EquivIn queries go through answer_equiv")
     match = _matcher(query)
     rows = store._rows.items()
-    for at, slot in ((3, query.head), (4, query.ret)):
-        if not isinstance(slot, Wildcard):
-            postings = store._index.get(at)
+    exact = not (query.params_wildcard or query.vararg)
+    for by, value in (
+        (3, getattr(query.head, "token", None)),
+        (4, getattr(query.ret, "token", None)),
+        (len, 6 + 2 * len(query.params) if exact else None),
+    ):
+        if value is not None:
+            postings = store._index.get(by)
             if postings is None:
-                postings = store._index[at] = defaultdict(list)
+                read = len if by is len else itemgetter(by)
+                postings = store._index[by] = defaultdict(list)
                 for item in rows:
-                    postings[item[1][at]].append(item)
-            rows = postings.get(slot.token, ())
+                    postings[read(item[1])].append(item)
+            rows = postings.get(value, ())
             break
     results = set()
     for key, row in rows:
         pairs = match(row)
         if pairs is not None:
-            results.add(Binding._make((key, pairs)))
+            results.add(_binding((key, pairs)))
     return results
 
 

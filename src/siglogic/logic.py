@@ -28,6 +28,7 @@ from .model import (
     lang_token,
     signature_row,
     wildcard_labels,
+    wildcard_slot,
 )
 
 
@@ -267,8 +268,11 @@ def expand_equiv(sig: Signature):
     if not isinstance(sig.head, EquivInHead):
         raise UnsupportedHead("expand_equiv requires an EquivIn head")
     taken = set(wildcard_labels(sig))
-    n, c, f, r = (Wildcard(_fresh(x, taken, "'")) for x in ("N", "C", "f'", "r"))
-    base = replace(sig, head=ground_slot(sig.head.base_name))
+    n, c, f, r = (wildcard_slot(_fresh(x, taken, "'")) for x in ("N", "C", "f'", "r"))
+    base = Signature(
+        sig.lang, sig.namespace, sig.class_name, ground_slot(sig.head.base_name),
+        sig.params, sig.params_wildcard, sig.vararg, sig.ret,
+    )
     target = Signature(
         lang=ground_slot(lang_token(sig.head.target_lang)), namespace=n,
         class_name=c, head=f, params_wildcard=True, ret=r,

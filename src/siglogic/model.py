@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 # Character set of concrete tokens, the DSL grammar's `token`.  `|` and
 # `:` lie outside it, so the KB's `|`-joined witness ids are injective.
-TOKEN_RE = re.compile(r"[A-Za-z0-9._$'-]+")
+TOKEN_CHAR = r"[A-Za-z0-9._$'-]"
+TOKEN_RE = re.compile(TOKEN_CHAR + "+")
 # A key's text, `lang|namespace|class|name|arity` (`FunctionKey.text`): four
 # tokens and an arity of ASCII digits, each a group.
 KEY_TEXT = r"({0})\|({0})\|({0})\|({0})\|([0-9]+)".format(TOKEN_RE.pattern)
@@ -65,6 +66,12 @@ class Wildcard:
     def __post_init__(self):
         if not TOKEN_RE.fullmatch(self.label):
             raise ModelError("invalid wildcard label: %r" % (self.label,))
+
+
+@functools.cache  # unbounded: the labels of parsed and expanded queries
+def wildcard_slot(label: str) -> Wildcard:
+    """One shared Wildcard per distinct label, the twin of `ground_slot`."""
+    return Wildcard(label)
 
 
 # `|` unions, not typing.Union: typing caches each Union it builds, which

@@ -416,6 +416,26 @@ def test_a_dropped_kb_load_leaves_nothing_behind():
     assert left < 0.03 * loaded, (left, loaded)
 
 
+def test_parses_share_one_wildcard_per_label_and_a_kb_load_makes_none():
+    from siglogic import cli, model
+    from siglogic.logic import expand_equiv
+
+    # the whole-line match and the scanner (a `(?)` list) read the same values
+    first = parse_signature("l? N? C?::f?(t?:p?,...) -> t?")
+    again = parse_signature("l? N? C?::f?(?) -> t?")
+    assert first.params[0].type_slot is first.ret is again.ret
+    assert first.lang is again.lang and first.head is again.head
+    # and the target labels an EquivIn query expands to
+    _, target = expand_equiv(parse_signature("java lang Math::EquivIn(max,php)(?) -> t?"))
+    assert target.namespace is first.namespace and target.ret is parse_signature(
+        "l? N? C?::f?(?) -> r?").ret
+    caches = (model.ground_slot, model.wildcard_slot)
+    before = [cache.cache_info() for cache in caches]
+    store = cli._load_kb("kb.txt", "\n".join(_kb_lines(random.Random(5), 50)))
+    assert len(store.keys) > 10
+    assert [cache.cache_info() for cache in caches] == before
+
+
 def test_printing_query_results_adds_nothing_to_the_slot_cache(tmp_path):
     from siglogic import cli, model
 
@@ -700,9 +720,10 @@ def test_ingest_key_conflict_is_a_line_diagnostic(tmp_path):
     new = tmp_path / "new.txt"
     new.write_text(JAVA_MAX + "\n" + PHP_MAX.replace(",...", "") + "\n",
                    encoding="utf-8")
-    code, _, err = _run(["ingest", "--kb", str(kb_file), str(new)])
-    assert code == 1
-    assert err.startswith("%s:2: differing signature already stored for" % new)
+    code, out, err = _run(["ingest", "--kb", str(kb_file), str(new)])
+    # the key is spelled as witnesses and links files spell it
+    assert (code, out) == (1, "")
+    assert err == "%s:2: differing signature already stored for php|core|builtin|max|2\n" % new
     assert kb_file.read_text(encoding="utf-8") == PHP_MAX + "\n"
 
 
@@ -722,9 +743,10 @@ def test_conflicting_kb_file_is_a_line_diagnostic(tmp_path, command):
         "facts": ["facts"],
         "ingest": ["ingest"],
     }[command]
-    code, _, err = _run(argv + ["--kb", str(kb_file)])
-    assert code == 1
-    assert err.startswith("%s:3: differing signature already stored for" % kb_file)
+    code, out, err = _run(argv + ["--kb", str(kb_file)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "%s:3: differing signature already stored for java|lang|Math|max|2\n" % kb_file)
 
 
 # Lines near the DSL grammar, so that fuzzed files reach past the parser;
@@ -1286,7 +1308,8 @@ def _reference_key(text):
     lang, namespace, class_name, name, arity = fields
     if not (arity.isascii() and arity.isdigit()):
         raise ValueError("invalid arity %r" % arity)
-    return FunctionKey(lang_token(lang), namespace, class_name, name, int(arity))
+    key = FunctionKey(lang, namespace, class_name, name, int(arity))
+    return key._replace(lang=lang_token(lang))
 
 
 def _reference_links(path, text):

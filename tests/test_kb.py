@@ -1061,7 +1061,7 @@ def test_answer_agrees_with_brute_force_across_ingests():
             continue
         assert answer_equiv(store, eqs, query) == expected, print_signature(query)
     assert steps == {"new", "re-ingest", "conflict"}
-    assert set(store._index) == {3, 4}
+    assert set(store._index) == {3, 4, len}
 
 
 def _seeded_store(n, seed=3):
@@ -1121,20 +1121,48 @@ def test_a_query_examines_only_its_constant_name_or_else_ret_rows(counted):
     assert counted() == before
 
 
-def test_a_join_with_no_constant_head_slot_examines_every_row(counted):
+def _rows_of_length(store, length):
+    return sum(len(row) == length for row in store._rows.values())
+
+
+def test_an_exact_arity_join_examines_only_the_rows_of_its_length(counted):
+    from siglogic import kb
+
     store = _seeded_store(1000)
-    answer(store, parse_signature("l? N? C?::f?(t?:p0) -> t?"))
-    assert counted() == 1000
-    assert store._index == {}
+    for text, length in (("l? N? C?::f?(t?:p0) -> t?", 8), ("l? N? C?::f?() -> r?", 6)):
+        query = parse_signature(text)
+        before = counted()
+        results = answer(store, query)
+        assert counted() - before == _rows_of_length(store, length) < 400
+        match = kb._matcher(query)
+        assert results == {
+            Binding(key, pairs) for key, row in store._rows.items()
+            if (pairs := match(row)) is not None
+        }
+    assert set(store._index) == {len}
+
+
+def test_the_rows_an_exact_arity_join_examines_grow_with_the_store(counted):
+    query = parse_signature("l? N? C?::f?(t?:p0,t?:p1) -> t?")
+    examined = []
+    for n in (1000, 10000):
+        before = counted()
+        answer(_seeded_store(n), query)
+        examined.append(counted() - before)
+    assert 150 < examined[0] < 400
+    assert 8 < examined[1] / examined[0] < 12
 
 
 def test_a_query_without_a_constant_name_or_ret_examines_every_row(counted):
-    # lang, namespace and class have few tokens: they are not indexed
+    # lang, namespace and class have few tokens: they are not indexed, and
+    # neither a `(?)` nor a `,...` list fixes one row length
     store = _seeded_store(1000)
     results = answer(store, parse_signature("java N? C?::f?(?) -> r?"))
     assert counted() == 1000 and 0 < len(results) < 1000
     answer(store, parse_signature("l? N? %s::f?(?) -> r?" % CLASSES[0]))
     assert counted() == 2000
+    results = answer(store, parse_signature("l? N? C?::f?(t?:p0,...) -> t?"))
+    assert counted() == 3000 and 0 < len(results) < 1000
     assert store._index == {}
 
 
@@ -1146,12 +1174,17 @@ def test_the_index_is_built_once_and_dropped_by_a_new_row(counted):
     seen = counted()
     assert answer(store, parse_signature("l? N? C?::f8(?) -> r?"))
     assert store._index[3] is postings and set(store._index) == {3}
+    join = parse_signature("l? N? C?::f?(t?:p0) -> t?")
+    assert answer(store, join)
+    lengths = store._index[len]
+    assert answer(store, join)
+    assert store._index[len] is lengths and set(store._index) == {3, len}
     # an identical re-ingest or a conflict stores nothing, so keeps the index
     sig = reconstruct_signature(store, min(store.keys))
     assert ingest_signature(store, sig) == 0
     with pytest.raises(KeyConflict):
         ingest_signature(store, _conflicting(sig))
-    assert store._index[3] is postings
+    assert store._index[3] is postings and store._index[len] is lengths
     new = parse_signature("java lang Math::f7(int:p0,int:p1,int:p2,int:p3) -> int")
     ingest_signature(store, new)
     assert store._index == {}
