@@ -39,12 +39,15 @@ from .kb import (
     EquivStore,
     FactStore,
     KeyConflict,
+    LineError,
     SourceNotFound,
     answer,
     answer_equiv,
     brute_force_answer,
     dump_facts,
     ingest_signature,
+    load_kb,
+    load_links,
     reconstruct_signature,
 )
 
@@ -83,12 +86,15 @@ __all__ = [
     "EquivStore",
     "FactStore",
     "KeyConflict",
+    "LineError",
     "SourceNotFound",
     "answer",
     "answer_equiv",
     "brute_force_answer",
     "dump_facts",
     "ingest_signature",
+    "load_kb",
+    "load_links",
     "reconstruct_signature",
 ]
 

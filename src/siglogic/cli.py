@@ -10,12 +10,12 @@ Subcommands:
     facts       dump the KB's ground facts
 
 A KB is a plain text file of normalized signatures, one per line; it is
-re-read on every load, and `ingest` extends it atomically (the whole new
+re-read on every call, and `ingest` extends it atomically (the whole new
 file is written beside it, then renamed over it).  An equivalence file
 holds one link per line: two tab-separated keys, each
-`lang|namespace|class|name|arity`.  Both files are read in one pass of
-one pattern each; a line the pattern does not read goes to the line's
-own checks, so its diagnostic is the one a line-by-line read gives.
+`lang|namespace|class|name|arity`.  The CLI reads each file's text and
+hands it to the library's loader (`kb.load_kb`, `kb.load_links`), whose
+`path:line: message` diagnostic (`kb.LineError`) it prints.
 
 All input is read as UTF-8; a leading byte-order mark is dropped, so
 `ingest` writes the KB back without one.  Exit codes: 0 success,
@@ -36,17 +36,11 @@ import shutil
 import sys
 
 from . import dsl, kb, logic, normalizer
-from .model import KEY_TEXT, TOKEN_RE, FunctionKey, lang_token, unchecked_key
+from .model import TOKEN_RE
 from .normalizer import Dialect
 
-_INPUT_ERRORS = (ValueError, kb.SourceNotFound)  # all siglogic input errors
 _DIALECTS = {d.value: d for d in Dialect}  # each dialect by its name
 _NORMALIZED = Dialect.NORMALIZED  # bound once: a member read off its class is slow
-
-
-class _LineError(Exception):
-    def __init__(self, path, lineno, message):
-        super().__init__("%s:%d: %s" % (path, lineno, message))
 
 
 @functools.cache  # built on the first call, not at import; parse_args leaves it as it was
@@ -114,7 +108,7 @@ def _decode(path, data) -> str:
         head = data[:e.start].decode("utf-8")
         # `\n`, `\r` and `\r\n` each end a line, as in _lines
         lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
-        raise _LineError(path, lineno, "invalid UTF-8: %s" % e.reason)
+        raise kb.LineError(path, lineno, "invalid UTF-8: %s" % e.reason)
 
 
 _LINE_RE = re.compile(dsl.ANY_LINE)
@@ -177,27 +171,9 @@ def _input_sigs(args, stdin):
                 if dialect is _NORMALIZED and tag:  # the text names its language
                     raise ValueError("the normalized dialect takes no language tag")
             sig = normalizer.normalize(raw, dialect or _NORMALIZED, tag or None)
-        except _INPUT_ERRORS as e:
-            raise _LineError(path, lineno, str(e))
+        except kb.INPUT_ERRORS as e:
+            raise kb.LineError(path, lineno, str(e))
         yield path, lineno, sig
-
-
-def _load_kb(path, text) -> kb.FactStore:
-    """The store of a KB text: each line's row stored under its key, a
-    repeat once, and then the facts of all its keys counted at once
-    (`kb.count_facts`)."""
-    store = kb.FactStore()
-    put = store._rows.setdefault
-    for lineno, key, row in dsl.read_rows(text):
-        try:
-            if key is None:  # row is the line's text, not ground; normalize says why
-                key, row = kb.keyed_row(normalizer.normalize(row, _NORMALIZED))
-            if put(key, row) != row:
-                raise kb.key_conflict(key)
-        except _INPUT_ERRORS as e:
-            raise _LineError(path, lineno, str(e))
-    kb.count_facts(store, store.keys)
-    return store
 
 
 def _write_atomically(path, text):
@@ -220,38 +196,6 @@ def _write_atomically(path, text):
         raise
 
 
-@functools.cache  # compiled on the first links load, not at import
-def _links_re():
-    """`dsl.lines_re` of a links line of two well-formed keys."""
-    return dsl.lines_re(KEY_TEXT + r"\t" + KEY_TEXT)
-
-
-def _load_eq(path) -> kb.EquivStore:
-    """The links of a links file, read in one pass: a line of two
-    well-formed keys is read by one match, and any other line that is not
-    blank through `FunctionKey.parse`, which says what is wrong with it."""
-    eqs = kb.EquivStore()
-    for lineno, m in enumerate(_links_re().finditer(_read(path)), start=1):
-        fields = m.groups()
-        if fields[0] is not None:
-            eqs.add_eq(
-                unchecked_key((lang_token(fields[0]), *fields[1:4], int(fields[4]))),
-                unchecked_key((lang_token(fields[5]), *fields[6:9], int(fields[9]))),
-            )
-            continue
-        line = m.group().rstrip("\r\n")
-        if not line.strip():
-            continue
-        try:
-            halves = line.split("\t")
-            if len(halves) != 2:
-                raise ValueError("expected two tab-separated keys")
-            eqs.add_eq(FunctionKey.parse(halves[0]), FunctionKey.parse(halves[1]))
-        except _INPUT_ERRORS as e:
-            raise _LineError(path, lineno, str(e))
-    return eqs
-
-
 def _parse(text):
     """A DSL line's signature, its language lowercased like the KB's."""
     return normalizer.lowercase_lang(dsl.parse_signature(text))
@@ -268,7 +212,7 @@ def _print_results(store, results, porcelain, out):
     ordered = sorted(results)
     lines = [] if ordered else ["0 results"]
     for i, binding in enumerate(ordered):
-        line = dsl.print_row(store._rows[binding.key])
+        line = dsl.print_row(store.rows[binding.key])
         if porcelain:
             fields = [line] + ["%s=%s" % kv for kv in binding.items]
             lines.append("\t".join(fields))
@@ -302,8 +246,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             for path, lineno, line in _input_lines(args.inputs, stdin):
                 try:
                     formula = logic.compile_signature(_parse(line))
-                except _INPUT_ERRORS as e:
-                    raise _LineError(path, lineno, str(e))
+                except kb.INPUT_ERRORS as e:
+                    raise kb.LineError(path, lineno, str(e))
                 print(logic.print_formula(formula), file=out)
 
         elif args.command == "ingest":
@@ -312,40 +256,38 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 text = _read(args.kb)
             except FileNotFoundError:
                 text = ""
-            store = _load_kb(args.kb, text)
+            store = kb.load_kb(text, args.kb)
             if text and not text.endswith(("\n", "\r")):
                 text += "\n"  # else the first new line joins the KB's last
-            loaded = len(store._rows)  # rows past these are new: a repeat is not stored
-            new_facts = 0
+            # rows and facts past these are new: a repeat adds neither
+            loaded, facts = len(store.rows), len(store)
             for path, lineno, sig in entries:
                 try:
-                    new_facts += kb.ingest_signature(store, sig)
-                except _INPUT_ERRORS as e:
-                    raise _LineError(path, lineno, str(e))
-            new_rows = itertools.islice(store._rows.values(), loaded, None)
+                    kb.ingest_signature(store, sig)
+                except kb.INPUT_ERRORS as e:
+                    raise kb.LineError(path, lineno, str(e))
+            new_rows = itertools.islice(store.rows.values(), loaded, None)
             _write_atomically(
                 args.kb, text + "".join(dsl.print_row(r) + "\n" for r in new_rows)
             )
-            print(
-                "ingested %d signatures, %d new facts" % (len(entries), new_facts),
-                file=out,
-            )
+            print("ingested %d signatures, %d new facts"
+                  % (len(entries), len(store) - facts), file=out)
 
         else:  # query, equiv and facts read the KB, then the links, then the query
-            store = _load_kb(args.kb, _read(args.kb))
+            store = kb.load_kb(_read(args.kb), args.kb)
             if args.command == "facts":
                 _write_lines(out, kb.dump_facts(store))
             else:
-                eqs = _load_eq(args.eq) if args.command == "equiv" else None
+                eqs = kb.load_links(_read(args.eq), args.eq) if "eq" in args else None
                 try:
                     query = _parse(args.query)
                     results = (kb.answer(store, query) if eqs is None
                                else kb.answer_equiv(store, eqs, query))
-                except _INPUT_ERRORS as e:
-                    raise _LineError("<query>", 1, str(e))
+                except kb.INPUT_ERRORS as e:
+                    raise kb.LineError("<query>", 1, str(e))
                 _print_results(store, results, args.porcelain, out)
 
-    except (_LineError, OSError) as e:
+    except (kb.LineError, OSError) as e:
         print(str(e), file=err)
         return 1
     return 0

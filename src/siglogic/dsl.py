@@ -124,9 +124,8 @@ class _Scanner:
 
 
 # A token ends only where the scanner's greedy match ends it, so a
-# backtracking match never splits one token into two.  One character of
-# lookahead says so; a possessive `++` would too, but needs Python 3.11.
-_TOKEN = r"%s(?!%s)" % (TOKEN_RE.pattern, TOKEN_CHAR)
+# backtracking match never splits one token into two: its `++` is possessive.
+_TOKEN = TOKEN_CHAR + "++"
 # Whitespace, then a slot's token and its wildcard mark as two groups.
 _SLOT = r"\s*(%s)(\??)" % _TOKEN
 _SLOT_RE = re.compile(_SLOT)
@@ -155,18 +154,16 @@ _LINE_RE = re.compile(_line(r"\s*", r"\??"))
 ANY_LINE = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"
 
 
+@functools.cache  # each compiled on its first load, not at import
 def lines_re(line: str):
     """The compiled pattern with one match per line of a text: a whole
     line that `line` matches, and its break, or else any line (`ANY_LINE`)."""
     return re.compile(r"(?:%s)(?:\r\n?|\n|\Z)|%s" % (line, ANY_LINE))
 
 
-@functools.cache  # compiled on the first load, not at import
-def _kb_re():
-    """`lines_re` of a ground KB line, whose whitespace is in-line (a `\\s`
-    would run across a break and join two lines) and which holds no
-    wildcard mark."""
-    return lines_re(_line(r"[^\S\r\n]*", ""))
+# A ground KB line: its whitespace is in-line (a `\s` would run across a
+# break and join two lines), and it holds no wildcard mark.
+_KB_LINE = _line(r"[^\S\r\n]*", "")
 
 
 def _slot(tok: str, mark: str) -> SlotValue:
@@ -208,7 +205,7 @@ def read_rows(text: str):
     `\\n`, `\\r` or `\\r\\n` and are numbered from 1, blank ones included.
     """
     share = {}.setdefault
-    for lineno, m in enumerate(_kb_re().finditer(text), start=1):
+    for lineno, m in enumerate(lines_re(_KB_LINE).finditer(text), start=1):
         lang, ns, cls, name, span, vararg, ret = m.group(1, 3, 5, 7, 9, 10, 11)
         if lang is None or name == "UNK":
             line = m.group()

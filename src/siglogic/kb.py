@@ -3,11 +3,13 @@
 The store is a table of the ingested functions by FunctionKey, each a
 flat row of token strings shared per load, `(lang, namespace, class,
 name, ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`); the KB
-text stays the only store of record.  The CLI reads each ground KB line
-into its row (`dsl.read_rows`), counts a load's facts once from its keys
-(`count_facts`) and prints a stored function from its row
-(`dsl.print_row`); a Signature is built again (`reconstruct_signature`)
-only for a library caller and the oracle.  Facts are derived on demand:
+text stays the only store of record.  A load (`load_kb`) reads each
+ground KB line into its row (`dsl.read_rows`) and counts its facts once
+from its keys (`_count_facts`), and `load_links` reads a links text into
+an EquivStore; the CLI reads the files, calls the two and prints a stored
+function from its row (`dsl.print_row`, through `FactStore.rows`); a
+Signature is built again (`reconstruct_signature`) only for a library
+caller and the oracle.  Facts are derived on demand:
 a row's atom layout (`logic.signature_atoms`, which `compile_signature`
 lays out over binders) is laid out over witnesses.  `dump_facts` lays
 it out once per row length and call, over template fields with
@@ -37,7 +39,9 @@ from collections import defaultdict, namedtuple
 from functools import partial
 from math import inf
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 
+from .dsl import lines_re, read_rows
 from .logic import (
     App,
     Formula,
@@ -51,6 +55,7 @@ from .logic import (
     signature_atoms,
 )
 from .model import (
+    KEY_TEXT,
     Const,
     EquivIn,
     FunctionKey,
@@ -59,9 +64,12 @@ from .model import (
     Wildcard,
     function_key,
     ground_slot,
+    lang_token,
     signature_row,
+    unchecked_key,
     wildcard_labels,
 )
+from .normalizer import Dialect, normalize
 
 
 class SourceNotFound(LookupError):
@@ -75,6 +83,16 @@ class KeyConflict(ValueError):
     bodies under one key would merge their facts and make answers depend
     on which body is asked about.
     """
+
+
+INPUT_ERRORS = (ValueError, SourceNotFound)  # all siglogic input errors
+
+
+class LineError(Exception):
+    """An input error at a line of a text, as `path:line: message`."""
+
+    def __init__(self, path, lineno, message):
+        super().__init__("%s:%d: %s" % (path, lineno, message))
 
 
 def fn_skolem(key: FunctionKey) -> str:
@@ -129,16 +147,18 @@ class FactStore:
     `(lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)`, one
     string per distinct token of one load; their facts are derived on demand.
 
-    Besides the table the store keeps a running count of the facts and the
-    (lang, namespace) and (lang, namespace, class) identities seen: their
-    namespace and class atoms are the only facts functions share.  Its
-    posting lists, `(key, row)` pairs by their name token, their ret token
-    or their row's length, are built by `answer` on first use and all
-    dropped by a new row.
+    `keys` and `rows` are live read-only views of the table, in storing
+    order: its keys, and each key's row.  Besides the table the store keeps
+    a running count of the facts and the (lang, namespace) and (lang,
+    namespace, class) identities seen: their namespace and class atoms are
+    the only facts functions share.  Its posting lists, `(key, row)` pairs
+    by their name token, their ret token or their row's length, are built
+    by `answer` on first use and all dropped by a new row.
     """
 
     def __init__(self):
         self._rows = {}
+        self.keys, self.rows = self._rows.keys(), MappingProxyType(self._rows)
         self._shared = set()
         self._size = 0
         # 3 (name) or 4 (ret) -> {token: [items]}; len -> {row length: [items]}
@@ -146,10 +166,6 @@ class FactStore:
 
     def __len__(self):
         return self._size
-
-    @property
-    def keys(self):
-        return self._rows.keys()
 
     def facts(self, pred: str, first: Term = None):
         """The derived facts with predicate `pred` (and first arg `first`)."""
@@ -189,41 +205,36 @@ _token = attrgetter("token")
 
 
 def ingest_signature(store: FactStore, sig: Signature) -> int:
-    """Store sig as a row of its tokens (`ingest_row`), compiling nothing."""
-    return ingest_row(store, *keyed_row(sig))
+    """Store a ground signature as a row of its tokens, compiling nothing;
+    returns how many facts it adds (`_count_facts`).
+
+    Re-ingesting the identical row adds nothing; any other row under a
+    stored key, even one differing only in the vararg flag, raises
+    KeyConflict, and a signature that is not ground NotGround.
+    """
+    key, row = _keyed_row(sig)
+    stored = store._rows.setdefault(key, row)
+    if stored is not row:  # stored before: only the identical row adds nothing
+        if stored != row:
+            raise _key_conflict(key)
+        return 0
+    store._index.clear()
+    return _count_facts(store, (key,))
 
 
-def keyed_row(sig: Signature) -> tuple:
+def _keyed_row(sig: Signature) -> tuple:
     """A ground signature's key and token row; else it raises NotGround."""
     return function_key(sig), signature_row(sig, _token)
 
 
-def ingest_row(store: FactStore, key: FunctionKey, row) -> int:
-    """Store a ground function's token row under its key; returns how many
-    facts it adds (`count_facts`).
-
-    Re-ingesting the identical row adds nothing; any other row under a
-    stored key, even one differing only in the vararg flag, raises
-    KeyConflict.
-    """
-    stored = store._rows.get(key)
-    if stored is not None:
-        if stored == row:
-            return 0
-        raise key_conflict(key)
-    store._rows[key] = row
-    store._index.clear()
-    return count_facts(store, (key,))
-
-
-def key_conflict(key: FunctionKey) -> KeyConflict:  # a differing row under key
+def _key_conflict(key: FunctionKey) -> KeyConflict:  # a differing row under key
     return KeyConflict("differing signature already stored for %s" % key.text)
 
 
 _NAMESPACE, _CLASS, _ARITY = itemgetter(slice(2)), itemgetter(slice(3)), itemgetter(4)
 
 
-def count_facts(store: FactStore, keys) -> int:
+def _count_facts(store: FactStore, keys) -> int:
     """Count the newly stored `keys` into the store's facts; returns how
     many they add: 6 + 3n each for n params, plus a namespace and a class
     atom for each (lang, namespace) and (lang, namespace, class) new to it.
@@ -235,6 +246,25 @@ def count_facts(store: FactStore, keys) -> int:
     added = 6 * len(keys) + 3 * sum(map(_ARITY, keys)) + len(shared) - seen
     store._size += added
     return added
+
+
+def load_kb(text: str, path: str = "<kb>") -> FactStore:
+    """The store of a KB text: each line's row (`dsl.read_rows`) stored
+    under its key, a repeat once, and then the facts of all its keys
+    counted at once (`_count_facts`).  A line that is not ground, or that
+    differs from the row stored under its key, raises LineError."""
+    store = FactStore()
+    put = store._rows.setdefault
+    for lineno, key, row in read_rows(text):
+        try:
+            if key is None:  # row is the line's text, not ground; normalize says why
+                key, row = _keyed_row(normalize(row, Dialect.NORMALIZED))
+            if put(key, row) != row:
+                raise _key_conflict(key)
+        except INPUT_ERRORS as e:
+            raise LineError(path, lineno, str(e))
+    _count_facts(store, store.keys)
+    return store
 
 
 def reconstruct_signature(store: FactStore, key: FunctionKey) -> Signature:
@@ -275,6 +305,33 @@ class EquivStore:
 
     def class_of(self, key: FunctionKey) -> frozenset:
         return frozenset(self._class.get(key, (key,)))
+
+
+_LINKS_LINE = KEY_TEXT + r"\t" + KEY_TEXT  # two well-formed keys
+
+
+def load_links(text: str, path: str = "<links>") -> EquivStore:
+    """The links of a links text, two tab-separated keys (`FunctionKey.text`)
+    a line, read in one pass: a line of two well-formed keys is read by
+    one match, and any other line that is not blank through
+    `FunctionKey.parse`, which says what is wrong with it (a LineError)."""
+    eqs = EquivStore()
+    for lineno, m in enumerate(lines_re(_LINKS_LINE).finditer(text), start=1):
+        fields = m.groups()
+        if fields[0] is not None:
+            eqs.add_eq(
+                unchecked_key((lang_token(fields[0]), *fields[1:4], int(fields[4]))),
+                unchecked_key((lang_token(fields[5]), *fields[6:9], int(fields[9]))),
+            )
+        elif m.group().strip():  # any other line that is not blank
+            try:
+                halves = m.group().rstrip("\r\n").split("\t")
+                if len(halves) != 2:
+                    raise ValueError("expected two tab-separated keys")
+                eqs.add_eq(FunctionKey.parse(halves[0]), FunctionKey.parse(halves[1]))
+            except INPUT_ERRORS as e:
+                raise LineError(path, lineno, str(e))
+    return eqs
 
 
 def _unify(query: Term, fact: Term, binds: dict, formula: Formula):

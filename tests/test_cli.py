@@ -16,7 +16,9 @@ import siglogic
 from siglogic.cli import run
 from siglogic.dsl import parse_signature, print_signature
 from siglogic.model import UNK, Const
-from siglogic.kb import FactStore, dump_facts, ingest_signature
+from siglogic.kb import (
+    FactStore, LineError, dump_facts, ingest_signature, load_kb, load_links,
+)
 from siglogic.logic import compile_signature, print_formula
 
 from strategies import ground_signatures, signatures
@@ -144,6 +146,26 @@ def test_package_all_lists_its_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(siglogic.__all__) == sorted(public)
+    # the library's own loaders, which the CLI calls too
+    assert {"load_kb", "load_links", "LineError"} <= public
+
+
+def test_the_cli_reads_no_private_attribute():
+    """The CLI goes through the library's public names: `cli.py` reads no
+    `_`-prefixed attribute and imports no `_`-prefixed name, dunders aside."""
+    import ast
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    path = Path(__file__).resolve().parents[1] / "src" / "siglogic" / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            found.append("%d: .%s" % (node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += ["%d: %s" % (node.lineno, a.name) for a in node.names if private(a.name)]
+    assert found == []
 
 
 def test_compile_parse_error_exit_code():
@@ -291,12 +313,12 @@ def test_loading_a_kb_compiles_nothing(kb_path, eq_path, compile_calls):
 @pytest.fixture
 def load_work(monkeypatch):
     """Lines parsed and Signatures built while the CLI loads a KB
-    (`cli._load_kb`), counted at `dsl.parse_signature` and at
+    (`kb.load_kb`), counted at `dsl.parse_signature` and at
     `Signature.__post_init__`."""
-    from siglogic import cli, dsl, model
+    from siglogic import dsl, kb, model
 
     made, loading = [], []
-    real_load, real_parse = cli._load_kb, dsl.parse_signature
+    real_load, real_parse = kb.load_kb, dsl.parse_signature
     real_post_init = model.Signature.__post_init__
 
     def load(*args):
@@ -316,7 +338,7 @@ def load_work(monkeypatch):
             made.append(sig)
         real_post_init(sig)
 
-    monkeypatch.setattr(cli, "_load_kb", load)
+    monkeypatch.setattr(kb, "load_kb", load)
     monkeypatch.setattr(dsl, "parse_signature", parse)
     monkeypatch.setattr(model.Signature, "__post_init__", post_init)
     return made
@@ -369,8 +391,6 @@ def _strings(value):
 
 
 def test_a_loaded_kb_shares_its_token_strings():
-    from siglogic import cli
-
     lines = _kb_lines(random.Random(3), 300)
     # the loader lowercases a language tag: the new string is shared too
     text = "".join(
@@ -380,7 +400,7 @@ def test_a_loaded_kb_shares_its_token_strings():
     built = FactStore()
     for line in lines:
         ingest_signature(built, parse_signature(line))
-    loaded = cli._load_kb("kb.txt", text)
+    loaded = load_kb(text, "kb.txt")
     assert loaded._rows == built._rows
     # one string per distinct token across the load's keys and rows together
     tokens = {}
@@ -393,10 +413,10 @@ def test_a_dropped_kb_load_leaves_nothing_behind():
     import gc
     import tracemalloc
 
-    from siglogic import cli, model
+    from siglogic import model
 
     before = model.ground_slot.cache_info()
-    cli._load_kb("kb.txt", "\n".join(_kb_lines(random.Random(4), 50)))  # compiles _kb_re
+    load_kb("\n".join(_kb_lines(random.Random(4), 50)))  # compiles the KB pattern
     # tokens no other load has seen: a process-wide cache would keep each one
     text = "".join(
         "java ns%d C%d::leak%d(T%d:p%d) -> R%d\n" % ((i,) * 6) for i in range(500)
@@ -404,7 +424,7 @@ def test_a_dropped_kb_load_leaves_nothing_behind():
     gc.collect()
     tracemalloc.start()
     try:
-        store = cli._load_kb("kb.txt", text)
+        store = load_kb(text)
         loaded = tracemalloc.get_traced_memory()[0]
         del store
         gc.collect()
@@ -417,7 +437,7 @@ def test_a_dropped_kb_load_leaves_nothing_behind():
 
 
 def test_parses_share_one_wildcard_per_label_and_a_kb_load_makes_none():
-    from siglogic import cli, model
+    from siglogic import model
     from siglogic.logic import expand_equiv
 
     # the whole-line match and the scanner (a `(?)` list) read the same values
@@ -431,7 +451,7 @@ def test_parses_share_one_wildcard_per_label_and_a_kb_load_makes_none():
         "l? N? C?::f?(?) -> r?").ret
     caches = (model.ground_slot, model.wildcard_slot)
     before = [cache.cache_info() for cache in caches]
-    store = cli._load_kb("kb.txt", "\n".join(_kb_lines(random.Random(5), 50)))
+    store = load_kb("\n".join(_kb_lines(random.Random(5), 50)))
     assert len(store.keys) > 10
     assert [cache.cache_info() for cache in caches] == before
 
@@ -636,14 +656,14 @@ def test_the_kb_pattern_is_compiled_on_the_first_load_only(kb_path, monkeypatch)
         return compile_(pattern, flags)
 
     monkeypatch.setattr(re, "compile", counting_compile)
-    for name in ("cli", "dsl"):  # imported afresh, put back after the test
+    for name in ("cli", "kb", "dsl"):  # imported afresh, put back after the test
         monkeypatch.delattr(siglogic, name)
         monkeypatch.delitem(sys.modules, "siglogic." + name)
     fresh = importlib.import_module("siglogic.cli")
     imported = len(compiled)
     for _ in range(2):
         assert fresh.run(["facts", "--kb", kb_path], stdout=io.StringIO()) == 0
-    pattern = fresh.dsl._kb_re().pattern
+    pattern = fresh.dsl.lines_re(fresh.dsl._KB_LINE).pattern
     assert pattern not in compiled[:imported]
     assert compiled[imported:].count(pattern) == 1
 
@@ -934,7 +954,7 @@ def test_a_utf8_error_names_the_line_that_lines_reads(head, tail):
 
     # `#` marks where the bad byte goes: the line _lines puts it on
     lineno = next(n for n, line in cli._lines(head + "#" + tail) if "#" in line)
-    with pytest.raises(cli._LineError, match=r"^p:%d: invalid UTF-8" % lineno):
+    with pytest.raises(LineError, match=r"^p:%d: invalid UTF-8" % lineno):
         cli._decode("p", head.encode() + b"\xff" + tail.encode())
 
 
@@ -1135,30 +1155,29 @@ def test_equiv_base_named_unk_matches_no_function(kb_path, eq_path):
     )
 
 
-def _reference_load(path, text):
+def _reference_load(text, path="<kb>"):
     """A KB loaded line by line through the library: `normalize`, then
     `ingest_signature`."""
-    from siglogic import cli
+    from siglogic import cli, kb
     from siglogic.normalizer import Dialect, normalize
 
     store = FactStore()
     for lineno, line in cli._lines(text):
         try:
             ingest_signature(store, normalize(line, Dialect.NORMALIZED))
-        except cli._INPUT_ERRORS as e:
-            raise cli._LineError(path, lineno, str(e))
+        except kb.INPUT_ERRORS as e:
+            raise LineError(path, lineno, str(e))
     return store
 
 
 def _loaded(load, text):
     """What a load of text gives: its `path:line:` diagnostic, or its keys,
     their signatures, its fact count and its facts."""
-    from siglogic.cli import _LineError
     from siglogic.kb import reconstruct_signature
 
     try:
-        store = load("kb.txt", text)
-    except _LineError as e:
+        store = load(text, "kb.txt")
+    except LineError as e:
         return str(e)
     keys = list(store.keys)
     sigs = [reconstruct_signature(store, key) for key in keys]
@@ -1223,9 +1242,7 @@ def _kb_text(draw):
 @settings(max_examples=100, deadline=None)
 @given(_kb_text())
 def test_the_row_reader_loads_as_the_library_does(text):
-    from siglogic.cli import _load_kb
-
-    assert _loaded(_load_kb, text) == _loaded(_reference_load, text)
+    assert _loaded(load_kb, text) == _loaded(_reference_load, text)
 
 
 @st.composite
@@ -1250,20 +1267,19 @@ def _counted(store):
 def test_a_loaded_kb_counts_what_line_by_line_ingest_counts(lines, batch):
     import tempfile
 
-    from siglogic import cli
     from siglogic.kb import _derived_facts
     from siglogic.logic import print_atom
     from siglogic.normalizer import Dialect, normalize
 
     text = "".join(line + "\n" for line in lines)
     try:
-        built = _reference_load("kb.txt", text)
-    except cli._LineError as e:  # two bodies under one key, tags aside
-        with pytest.raises(cli._LineError) as raised:
-            cli._load_kb("kb.txt", text)
+        built = _reference_load(text, "kb.txt")
+    except LineError as e:  # two bodies under one key, tags aside
+        with pytest.raises(LineError) as raised:
+            load_kb(text, "kb.txt")
         assert str(raised.value) == str(e)
         return
-    loaded = cli._load_kb("kb.txt", text)
+    loaded = load_kb(text, "kb.txt")
     assert _counted(loaded) == _counted(built)
     # and both print what the oracle derives from the rows, a fact a line
     facts = sorted({print_atom(a) for a in _derived_facts(loaded)})
@@ -1288,13 +1304,13 @@ def test_a_loaded_kb_counts_what_line_by_line_ingest_counts(lines, batch):
         assert (code, err) == (0, "")
         assert out == "ingested %d signatures, %d new facts\n" % (len(batch), new_facts)
         with open(kb_file, encoding="utf-8") as fh:
-            assert _counted(cli._load_kb(kb_file, fh.read())) == _counted(built)
+            assert _counted(load_kb(fh.read(), kb_file)) == _counted(built)
 
     # a repeat differing in its return, after a blank line, fails at its own line
     conflict = re.sub(r"\S+$", lambda m: m[0] + "x", lines[0])
-    with pytest.raises(cli._LineError, match=re.escape(
+    with pytest.raises(LineError, match=re.escape(
             "kb.txt:%d: differing signature already stored for " % (len(lines) + 2))):
-        cli._load_kb("kb.txt", text + "\n" + conflict + "\n")
+        load_kb(text + "\n" + conflict + "\n", "kb.txt")
 
 
 def _reference_key(text):
@@ -1312,7 +1328,7 @@ def _reference_key(text):
     return key._replace(lang=lang_token(lang))
 
 
-def _reference_links(path, text):
+def _reference_links(text, path="<links>"):
     """A links text read line by line: two tab-separated keys a line."""
     from siglogic import cli
     from siglogic.kb import EquivStore
@@ -1325,7 +1341,7 @@ def _reference_links(path, text):
                 raise ValueError("expected two tab-separated keys")
             eqs.add_eq(*map(_reference_key, halves))
         except ValueError as e:
-            raise cli._LineError(path, lineno, str(e))
+            raise LineError(path, lineno, str(e))
     return eqs
 
 
@@ -1368,11 +1384,9 @@ def _links_text(draw):
 
 def _links_read(load, path, text):
     """Each linked key's class, or the load's `path:line:` diagnostic."""
-    from siglogic.cli import _LineError
-
     try:
-        eqs = load(path, text)
-    except _LineError as e:
+        eqs = load(text, path)
+    except LineError as e:
         return str(e)
     return {key: eqs.class_of(key) for key in eqs._class}
 
@@ -1388,5 +1402,5 @@ def test_the_one_pass_links_reader_reads_as_the_line_reader_does(text):
         path = os.path.join(tmp, "links.txt")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        got = _links_read(lambda p, _: cli._load_eq(p), path, text)
+        got = _links_read(lambda _, p: load_links(cli._read(p), p), path, text)
     assert got == _links_read(_reference_links, path, text)

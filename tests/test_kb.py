@@ -13,12 +13,15 @@ from siglogic.kb import (
     KeyConflict,
     EquivStore,
     FactStore,
+    LineError,
     SourceNotFound,
     answer,
     answer_equiv,
     brute_force_answer,
     dump_facts,
     ingest_signature,
+    load_kb,
+    load_links,
     ns_skolem,
     reconstruct_signature,
 )
@@ -1203,3 +1206,54 @@ def test_the_readme_library_example_answers_as_documented():
     scope = {}
     exec(setup, scope)
     assert repr(eval("sl.answer(store, query)", scope)) == documented
+
+
+def test_load_kb_of_no_text_is_an_empty_store():
+    store = load_kb("")
+    assert (len(store), list(store.keys), dump_facts(store)) == (0, [], [])
+
+
+_MAX = "java lang Math::max(long:a,long:b) -> long"
+
+
+@pytest.mark.parametrize("path", [None, "lib/kb.txt"])
+@pytest.mark.parametrize("bad, message", [
+    ("java lang Math::f?(long:a) -> long",
+     "normalized input contains wildcards: 'java lang Math::f?(long:a) -> long'"),
+    ("JAVA lang Math::max(long:a,long:b) -> int",
+     "differing signature already stored for java|lang|Math|max|2"),
+])
+def test_load_kb_raises_a_line_error_at_the_first_bad_line(path, bad, message):
+    text = "%s\n\n%s\nnot a signature\n" % (_MAX, bad)  # line 4 is bad too
+    with pytest.raises(LineError) as raised:
+        load_kb(text) if path is None else load_kb(text, path)
+    assert str(raised.value) == "%s:3: %s" % (path or "<kb>", message)
+
+
+@pytest.mark.parametrize("path", [None, "lib/links.txt"])
+def test_load_links_raises_a_line_error_at_the_first_bad_line(path):
+    text = (
+        "java|lang|Math|max|2\tpython|builtins|builtin|max|2\r\n\r\n"
+        "java|lang|Math|min|+1\tpython|builtins|builtin|min|1\r\n"
+        "java|lang|Math\tpython|builtins|builtin|min|1\r\n"  # line 4 is bad too
+    )
+    with pytest.raises(LineError) as raised:
+        load_links(text) if path is None else load_links(text, path)
+    assert str(raised.value) == "%s:3: invalid arity '+1'" % (path or "<links>")
+    eqs = load_links(text.split("\r\n\r\n")[0].replace("java", "JAVA"))
+    assert eqs.class_of(FunctionKey("java", "lang", "Math", "max", 2)) == {
+        FunctionKey("java", "lang", "Math", "max", 2),
+        FunctionKey("python", "builtins", "builtin", "max", 2),
+    }
+
+
+def test_a_stores_rows_are_a_live_read_only_view_in_storing_order():
+    store = load_kb(_MAX + "\n")
+    rows = store.rows
+    sig = parse_signature("java lang Math::abs(int:a,...) -> int")
+    ingest_signature(store, sig)
+    assert list(rows) == list(store.keys) == [
+        FunctionKey("java", "lang", "Math", "max", 2), function_key(sig)]
+    assert [print_row(row) for row in rows.values()] == [_MAX, print_signature(sig)]
+    with pytest.raises(TypeError):
+        rows[function_key(sig)] = ()
