@@ -9,13 +9,23 @@ Subcommands:
     equiv       run an EquivIn query against a KB plus an equivalence file
     facts       dump the KB's ground facts
 
-A KB is a plain text file of normalized signatures, one per line; it is
-re-read on every call, and `ingest` extends it atomically (the whole new
-file is written beside it, then renamed over it).  An equivalence file
-holds one link per line: two tab-separated keys, each
-`lang|namespace|class|name|arity`.  The CLI reads each file's text and
-hands it to the library's loader (`kb.load_kb`, `kb.load_links`), whose
-`path:line: message` diagnostic (`kb.LineError`) it prints.
+A KB is a plain text file of normalized signatures, one per line, and
+`ingest` extends it atomically (the whole new file is written beside it,
+then renamed over it).  An equivalence file holds one link per line: two
+tab-separated keys, each `lang|namespace|class|name|arity`.  The CLI
+reads each file and hands it to the library's loader (`kb.load_kb`,
+`kb.load_links`), whose `path:line: message` diagnostic (`kb.LineError`)
+it prints.
+
+Beside a KB the CLI keeps its row snapshot, `<kb>.rows`, as Python keeps
+`__pycache__`: the loaded store in `marshal` form with a digest of the
+KB's bytes (`kb.dump_snapshot`).  A KB-reading command loads the store
+from it when it matches the KB (`kb.load_snapshot`), and else from the
+text, and then writes it; `ingest` writes the new KB's once the KB is in
+place.  A snapshot is written only of a load that succeeded, atomically,
+and never over a file there that is no snapshot; one that cannot be
+written is left out.  The KB text stays the only store of record: the
+snapshot may be deleted at any time.
 
 All input is read as UTF-8; a leading byte-order mark is dropped, so
 `ingest` writes the KB back without one.  Exit codes: 0 success,
@@ -91,10 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _read(path) -> str:
     """The text of a UTF-8 file, its line breaks as written."""
-    with open(path, "rb") as fh:
-        return _decode(path, fh.read())
+    return _decode(path, _read_bytes(path))
 
 
 def _decode(path, data) -> str:
@@ -176,15 +190,15 @@ def _input_sigs(args, stdin):
         yield path, lineno, sig
 
 
-def _write_atomically(path, text):
-    """Write text to path by writing the whole new file, then renaming it.
+def _write_atomically(path, data):
+    """Write bytes to path by writing the whole new file, then renaming it.
 
     The file is either unchanged or complete, never half-written.
     """
     tmp = "%s.%d.tmp" % (path, os.getpid())  # same directory: rename is atomic
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         with contextlib.suppress(FileNotFoundError):  # a new file
@@ -194,6 +208,39 @@ def _write_atomically(path, text):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _load_kb(path, data, save=True):
+    """The store of the KB bytes `data` read from path, and whether a row
+    snapshot may be written beside the KB, at `<path>.rows`: not over a
+    file there that is no snapshot.
+
+    The store is the snapshot's when that is one of `data`
+    (`kb.load_snapshot`), else their text's (`kb.load_kb`), whose
+    diagnostics a snapshot never changes: one is written, with `save`,
+    only of a store a text load built.
+    """
+    try:
+        snapshot = _read_bytes(path + ".rows")
+    except FileNotFoundError:
+        snapshot = None
+    except OSError:  # a directory, say
+        snapshot = b""
+    writable = snapshot is None or snapshot.startswith(kb.SNAPSHOT_MAGIC)
+    store = kb.load_snapshot(snapshot, data) if snapshot else None
+    if store is None:
+        store = kb.load_kb(_decode(path, data), path)
+        if save and writable:
+            _write_snapshot(path, store, data)
+    return store, writable
+
+
+def _write_snapshot(path, store, data):
+    """Write the row snapshot of a store and its KB bytes beside the KB; a
+    snapshot that cannot be written is left out in silence, as the KB text
+    stays the only store of record."""
+    with contextlib.suppress(OSError):
+        _write_atomically(path + ".rows", kb.dump_snapshot(store, data))
 
 
 def _parse(text):
@@ -253,10 +300,13 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         elif args.command == "ingest":
             entries = list(_input_sigs(args, stdin))
             try:
-                text = _read(args.kb)
+                data = _read_bytes(args.kb)
             except FileNotFoundError:
-                text = ""
-            store = kb.load_kb(text, args.kb)
+                data = b""
+            # a snapshot written now would be stale at once: it is written
+            # of the new KB, once that is in place
+            store, writable = _load_kb(args.kb, data, save=False)
+            text = _decode(args.kb, data)
             if text and not text.endswith(("\n", "\r")):
                 text += "\n"  # else the first new line joins the KB's last
             # rows and facts past these are new: a repeat adds neither
@@ -267,14 +317,15 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                 except kb.INPUT_ERRORS as e:
                     raise kb.LineError(path, lineno, str(e))
             new_rows = itertools.islice(store.rows.values(), loaded, None)
-            _write_atomically(
-                args.kb, text + "".join(dsl.print_row(r) + "\n" for r in new_rows)
-            )
+            data = (text + "".join(dsl.print_row(r) + "\n" for r in new_rows)).encode()
+            _write_atomically(args.kb, data)
+            if writable:
+                _write_snapshot(args.kb, store, data)
             print("ingested %d signatures, %d new facts"
                   % (len(entries), len(store) - facts), file=out)
 
         else:  # query, equiv and facts read the KB, then the links, then the query
-            store = kb.load_kb(_read(args.kb), args.kb)
+            store, _ = _load_kb(args.kb, _read_bytes(args.kb))
             if args.command == "facts":
                 _write_lines(out, kb.dump_facts(store))
             else:

@@ -6,7 +6,9 @@ name, ret, t1, n1, …, tn, nn, vararg)` (`model.signature_row`); the KB
 text stays the only store of record.  A load (`load_kb`) reads each
 ground KB line into its row (`dsl.read_rows`) and counts its facts once
 from its keys (`_count_facts`), and `load_links` reads a links text into
-an EquivStore; the CLI reads the files, calls the two and prints a stored
+an EquivStore; `dump_snapshot` and `load_snapshot` turn a loaded store
+into bytes and back, checked against the KB's bytes; the CLI reads the
+files, calls these and prints a stored
 function from its row (`dsl.print_row`, through `FactStore.rows`); a
 Signature is built again (`reconstruct_signature`) only for a library
 caller and the oracle.  Facts are derived on demand:
@@ -34,12 +36,16 @@ kept as the oracle, `brute_force_answer`.
 
 from __future__ import annotations
 
+import marshal
 import re
+import sys
 from collections import defaultdict, namedtuple
 from functools import partial
 from math import inf
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
+
+from _blake2 import blake2b  # hashlib would load OpenSSL, 3.6 MB more per process
 
 from .dsl import lines_re, read_rows
 from .logic import (
@@ -89,10 +95,12 @@ INPUT_ERRORS = (ValueError, SourceNotFound)  # all siglogic input errors
 
 
 class LineError(Exception):
-    """An input error at a line of a text, as `path:line: message`."""
+    """An input error at a line of a text, as `path:line: message`; its
+    `path`, `lineno` and `message` are kept as attributes."""
 
     def __init__(self, path, lineno, message):
         super().__init__("%s:%d: %s" % (path, lineno, message))
+        self.path, self.lineno, self.message = path, lineno, message
 
 
 def fn_skolem(key: FunctionKey) -> str:
@@ -264,6 +272,60 @@ def load_kb(text: str, path: str = "<kb>") -> FactStore:
         except INPUT_ERRORS as e:
             raise LineError(path, lineno, str(e))
     _count_facts(store, store.keys)
+    return store
+
+
+# A row snapshot's first bytes; the header in its blob names the format
+# and what wrote it.
+SNAPSHOT_MAGIC = b"\0siglogic rows\n"
+_SNAPSHOT_HEADER = ("siglogic rows", 1, sys.version_info[:2], marshal.version)
+_DIGEST = len(SNAPSHOT_MAGIC) + 16  # the digest's end, the blob's start
+
+
+def _snapshot_digest(data: bytes, blob) -> bytes:
+    digest = blake2b(data, digest_size=16)
+    digest.update(blob)
+    return digest.digest()
+
+
+def dump_snapshot(store: FactStore, data: bytes) -> bytes:
+    """The row snapshot of a store loaded from, or written as, the KB bytes
+    `data`: `SNAPSHOT_MAGIC`, a 16-byte blake2b digest of `data` and the
+    blob, and one `marshal` blob of a header, the keys as plain tuples,
+    the rows, the shared identities and the fact count.  `marshal` keeps
+    object identity within a blob, so the rows share their tokens as a
+    text load's do."""
+    blob = marshal.dumps((
+        _SNAPSHOT_HEADER,
+        tuple(map(tuple, store._rows)),
+        tuple(store._rows.values()),
+        store._shared,
+        store._size,
+    ))
+    return SNAPSHOT_MAGIC + _snapshot_digest(data, blob) + blob
+
+
+def load_snapshot(snapshot: bytes, data: bytes) -> FactStore | None:
+    """The store of a row snapshot (`dump_snapshot`) of the KB bytes
+    `data`, equal to `load_kb`'s of their text; None when it is no
+    snapshot of them or of this format and Python.
+
+    The digest is checked before the blob is decoded: `marshal` may crash
+    the process on bytes it did not write, and a changed byte anywhere
+    changes the digest."""
+    blob = memoryview(snapshot)[_DIGEST:]
+    if (not snapshot.startswith(SNAPSHOT_MAGIC)
+            or snapshot[len(SNAPSHOT_MAGIC):_DIGEST] != _snapshot_digest(data, blob)):
+        return None
+    try:
+        header, keys, rows, shared, size = marshal.loads(blob)
+    except (EOFError, ValueError, TypeError):  # another Python's blob, say
+        return None
+    if header != _SNAPSHOT_HEADER:
+        return None
+    store = FactStore()
+    store._rows.update(zip(map(unchecked_key, keys), rows))
+    store._shared, store._size = shared, size
     return store
 
 

@@ -687,6 +687,146 @@ def test_failed_ingest_leaves_kb_unchanged(kb_path, tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == listing
 
 
+def _snapshot_of(kb_file):
+    """The store that the row snapshot beside a KB file loads, or None."""
+    return siglogic.kb.load_snapshot(
+        Path(str(kb_file) + ".rows").read_bytes(), Path(kb_file).read_bytes())
+
+
+def _no_tmp(directory):
+    return [name for name in os.listdir(directory) if name.endswith(".tmp")] == []
+
+
+def test_a_read_command_writes_a_snapshot_that_the_next_one_reads(
+    kb_path, eq_path, monkeypatch
+):
+    calls = [
+        ["facts", "--kb", kb_path],
+        ["query", WILDCARD_QUERY, "--kb", kb_path, "--porcelain"],
+        ["equiv", "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> s?",
+         "--kb", kb_path, "--eq", eq_path],
+    ]
+    cold = [_run(argv) for argv in calls]
+    assert _snapshot_of(kb_path).rows == load_kb(Path(kb_path).read_text()).rows
+
+    def text_load(*args):
+        raise AssertionError("the KB text was loaded again")
+
+    monkeypatch.setattr(siglogic.kb, "load_kb", text_load)
+    assert [_run(argv) for argv in calls] == cold
+    assert [code for code, _, _ in cold] == [0, 0, 0]
+
+
+def _stale_kb(kb_file):  # a line the snapshot does not hold, and a bad one
+    with open(kb_file, "a", encoding="utf-8") as fh:
+        fh.write("java lang Math::abs(int:a) -> int\njava lang Math::f?() -> int\n")
+
+
+def _damage(rows, case):
+    """Damage the snapshot file `rows` by name."""
+    data = rows.read_bytes()
+    if case == "truncated":
+        rows.write_bytes(data[:len(data) // 2])
+    elif case == "garbage":
+        rows.write_bytes(bytes(range(256)) * 8)
+    elif case == "a flipped byte":
+        rows.write_bytes(data[:-40] + bytes([data[-40] ^ 1]) + data[-39:])
+    elif case == "another Python":
+        from siglogic import kb
+
+        header = ("siglogic rows", 1, (2, 7), 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kb, "_SNAPSHOT_HEADER", header)
+            kb_data = Path(str(rows)[:-len(".rows")]).read_bytes()
+            rows.write_bytes(kb.dump_snapshot(kb.load_kb(kb_data.decode()), kb_data))
+    elif case == "a directory":
+        rows.unlink()
+        rows.mkdir()
+
+
+_DAMAGE = ["stale", "truncated", "garbage", "a flipped byte", "another Python", "a directory"]
+
+
+@pytest.mark.parametrize("case", _DAMAGE)
+@pytest.mark.parametrize("command", ["query", "equiv", "facts"])
+def test_a_stale_or_damaged_snapshot_changes_no_output(tmp_path, eq_path, case, command):
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text("".join(s + "\n" for s in ALL_FIXTURE_SIGS), encoding="utf-8")
+    rows = tmp_path / "kb.txt.rows"
+    argv = {
+        "query": ["query", WILDCARD_QUERY],
+        "equiv": ["equiv", "java java.math BigInteger::EquivIn(shiftLeft,haskell)(?) -> s?",
+                  "--eq", eq_path],
+        "facts": ["facts"],
+    }[command] + ["--kb", str(kb_file)]
+    assert _run(argv)[0] == 0 and rows.is_file()
+    if case == "stale":
+        _stale_kb(kb_file)
+    else:
+        _damage(rows, case)
+    damaged = rows.read_bytes() if rows.is_file() else None
+    rows.rename(tmp_path / "aside")
+    expected = _run(argv)  # as with no snapshot
+    if case == "stale":
+        assert expected[0] == 1 and not rows.exists()  # a failed load writes none
+    else:
+        assert expected[0] == 0
+        rows.unlink()
+    (tmp_path / "aside").rename(rows)
+    assert _run(argv) == expected
+    assert _no_tmp(tmp_path)
+    if case == "a directory":  # no snapshot, so never replaced
+        assert rows.is_dir()
+    elif case in ("stale", "garbage"):
+        assert rows.read_bytes() == damaged
+    else:  # replaced by the snapshot of the KB
+        assert _snapshot_of(kb_file).rows == load_kb(kb_file.read_text()).rows
+
+
+@pytest.mark.parametrize("case", [None] + _DAMAGE)
+def test_ingest_writes_the_snapshot_of_the_new_kb(tmp_path, case):
+    new = tmp_path / "new.txt"
+    new.write_text(JAVA_MAX + "\njava lang Math::abs(int:a) -> int\n", encoding="utf-8")
+    outcomes = []
+    for name in ("bare", "snapshot"):
+        kb_file = tmp_path / name / "kb.txt"
+        kb_file.parent.mkdir()
+        kb_file.write_text(PHP_MAX + "\n", encoding="utf-8")
+        if name == "snapshot":
+            assert _run(["facts", "--kb", str(kb_file)])[0] == 0  # writes one
+            if case == "stale":
+                kb_file.write_text(PHP_MAX + "\n" + PY_MAX + "\n", encoding="utf-8")
+            elif case is not None:
+                _damage(tmp_path / name / "kb.txt.rows", case)
+        elif case == "stale":
+            kb_file.write_text(PHP_MAX + "\n" + PY_MAX + "\n", encoding="utf-8")
+        outcomes.append((_run(["ingest", "--kb", str(kb_file), str(new)]),
+                         kb_file.read_bytes()))
+        assert _no_tmp(kb_file.parent)
+        if name == "bare" or case not in ("garbage", "a directory"):
+            assert _snapshot_of(kb_file).rows == load_kb(kb_file.read_text()).rows
+        elif case == "a directory":
+            assert (tmp_path / name / "kb.txt.rows").is_dir()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0] == 0
+
+
+@pytest.mark.parametrize("command", ["query", "facts", "ingest"])
+def test_a_file_that_is_no_snapshot_is_never_replaced(kb_path, command):
+    rows = Path(kb_path + ".rows")
+    rows.write_text("my own rows\n", encoding="utf-8")
+    argv = {
+        "query": ["query", WILDCARD_QUERY],
+        "facts": ["facts"],
+        "ingest": ["ingest"],
+    }[command] + ["--kb", kb_path]
+    for _ in range(2):
+        code, _, err = _run(argv, JAVA_MAX + "\n")
+        assert (code, err) == (0, "")
+    assert rows.read_text(encoding="utf-8") == "my own rows\n"
+    assert _no_tmp(rows.parent)
+
+
 def test_missing_kb_file_is_reported(tmp_path):
     code, _, err = _run(
         ["query", WILDCARD_QUERY, "--kb", str(tmp_path / "nope.txt")]

@@ -19,13 +19,16 @@ from siglogic.kb import (
     answer_equiv,
     brute_force_answer,
     dump_facts,
+    dump_snapshot,
     ingest_signature,
     load_kb,
     load_links,
+    load_snapshot,
     ns_skolem,
     reconstruct_signature,
 )
 from siglogic.logic import UnsupportedHead, expand_equiv
+from siglogic.normalizer import lowercase_lang
 from siglogic.model import (
     UNK,
     Const,
@@ -1228,6 +1231,8 @@ def test_load_kb_raises_a_line_error_at_the_first_bad_line(path, bad, message):
     with pytest.raises(LineError) as raised:
         load_kb(text) if path is None else load_kb(text, path)
     assert str(raised.value) == "%s:3: %s" % (path or "<kb>", message)
+    e = raised.value  # a library caller reads its fields, not its text
+    assert (e.path, e.lineno, e.message) == (path or "<kb>", 3, message)
 
 
 @pytest.mark.parametrize("path", [None, "lib/links.txt"])
@@ -1240,6 +1245,8 @@ def test_load_links_raises_a_line_error_at_the_first_bad_line(path):
     with pytest.raises(LineError) as raised:
         load_links(text) if path is None else load_links(text, path)
     assert str(raised.value) == "%s:3: invalid arity '+1'" % (path or "<links>")
+    e = raised.value
+    assert (e.path, e.lineno, e.message) == (path or "<links>", 3, "invalid arity '+1'")
     eqs = load_links(text.split("\r\n\r\n")[0].replace("java", "JAVA"))
     assert eqs.class_of(FunctionKey("java", "lang", "Math", "max", 2)) == {
         FunctionKey("java", "lang", "Math", "max", 2),
@@ -1257,3 +1264,63 @@ def test_a_stores_rows_are_a_live_read_only_view_in_storing_order():
     assert [print_row(row) for row in rows.values()] == [_MAX, print_signature(sig)]
     with pytest.raises(TypeError):
         rows[function_key(sig)] = ()
+
+
+@st.composite
+def _kb_texts(draw):
+    """KB texts of drawn ground signatures, a key's body once, some lines
+    repeated, each line ended by any of the breaks a KB reader accepts."""
+    sigs = draw(st.lists(
+        ground_signatures.map(lowercase_lang), max_size=12, unique_by=function_key))
+    lines = [print_signature(sig) for sig in sigs]
+    lines += draw(st.lists(st.sampled_from(lines), max_size=3)) if lines else []
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\n\n"])
+    return "".join(line + draw(breaks) for line in lines)
+
+
+def _strings(store):
+    return [t for item in store.rows.items() for part in item for t in part
+            if isinstance(t, str)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kb_texts())
+@example("")
+def test_a_row_snapshot_loads_the_store_its_text_loads(text):
+    data = text.encode()
+    loaded = load_kb(text)
+    store = load_snapshot(dump_snapshot(loaded, data), data)
+    assert list(store.rows.items()) == list(loaded.rows.items())
+    assert {type(key) for key in store.keys} <= {FunctionKey}
+    assert (len(store), store._shared, store._index) == (len(loaded), loaded._shared, {})
+    # one string per distinct token, as in a text load
+    strings = _strings(store)
+    assert len({id(t) for t in strings}) == len(set(strings))
+    assert dump_facts(store) == dump_facts(loaded)
+
+
+def test_a_row_snapshot_of_other_bytes_or_damaged_loads_nothing(monkeypatch):
+    from siglogic import kb
+
+    text = "\n".join(ALL_FIXTURE_SIGS) + "\n"
+    data = text.encode()
+    snapshot = dump_snapshot(load_kb(text), data)
+    assert load_snapshot(snapshot, data) is not None
+    flipped = bytearray(snapshot)
+    flipped[-40] ^= 1  # marshal may crash on bytes it did not write
+    not_marshal = b"\xff" * 40
+    monkeypatch.setattr(kb, "_SNAPSHOT_HEADER", ("siglogic rows", 1, (2, 7), 4))
+    other_python = dump_snapshot(load_kb(text), data)
+    monkeypatch.undo()
+    for bad, kb_data in [
+        (snapshot, data + b"java lang Math::abs(int:a) -> int\n"),  # a stale one
+        (snapshot, data.replace(b"\n", b"\r\n")),  # the same rows, other bytes
+        (snapshot[:-1], data),
+        (snapshot[:len(kb.SNAPSHOT_MAGIC) + 3], data),
+        (b"", data),
+        (b"\0garbage" * 50, data),
+        (bytes(flipped), data),
+        (kb.SNAPSHOT_MAGIC + kb._snapshot_digest(data, not_marshal) + not_marshal, data),
+        (other_python, data),
+    ]:
+        assert load_snapshot(bad, kb_data) is None
