@@ -5,6 +5,8 @@ documentation strings, compile signatures to logic formulas, and answer
 wildcard and cross-language-equivalence queries over a fact store.
 """
 
+__version__ = "0.1.0"  # before the submodules: a KB row snapshot names it
+
 from .model import (
     UNK,
     Const,
@@ -97,5 +99,3 @@ __all__ = [
     "load_links",
     "reconstruct_signature",
 ]
-
-__version__ = "0.1.0"

@@ -18,14 +18,17 @@ reads each file and hands it to the library's loader (`kb.load_kb`,
 it prints.
 
 Beside a KB the CLI keeps its row snapshot, `<kb>.rows`, as Python keeps
-`__pycache__`: the loaded store in `marshal` form with a digest of the
-KB's bytes (`kb.dump_snapshot`).  A KB-reading command loads the store
-from it when it matches the KB (`kb.load_snapshot`), and else from the
-text, and then writes it; `ingest` writes the new KB's once the KB is in
-place.  A snapshot is written only of a load that succeeded, atomically,
-and never over a file there that is no snapshot; one that cannot be
-written is left out.  The KB text stays the only store of record: the
-snapshot may be deleted at any time.
+`__pycache__`: the loaded rows in `marshal` form, about the KB's size,
+with a digest of the KB's bytes (`kb.kb_digest`, `kb.dump_snapshot`).  A
+KB-reading command loads the store from it when it matches the KB
+(`kb.load_snapshot`), and else from the text, and then writes it, which
+makes the first call after a change a little slower than a text load;
+`ingest` writes the new KB's once the KB is in place.  A snapshot is
+written only of a load that succeeded, atomically, and never over a file
+there that is no snapshot; one that cannot be written is left out.  The
+KB text stays the only store of record: the snapshot may be deleted at
+any time.  Whoever can write it can write the KB, so `marshal`'s trust
+in its input adds no trust boundary.
 
 All input is read as UTF-8; a leading byte-order mark is dropped, so
 `ingest` writes the KB back without one.  Exit codes: 0 success,
@@ -190,17 +193,19 @@ def _input_sigs(args, stdin):
         yield path, lineno, sig
 
 
-def _write_atomically(path, data):
-    """Write bytes to path by writing the whole new file, then renaming it.
+def _write_atomically(path, parts, durable=True):
+    """Write byte strings in turn to path by writing the whole new file,
+    then renaming it; a `durable` file is synced to disk before the rename.
 
     The file is either unchanged or complete, never half-written.
     """
     tmp = "%s.%d.tmp" % (path, os.getpid())  # same directory: rename is atomic
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
+            fh.writelines(parts)
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         with contextlib.suppress(FileNotFoundError):  # a new file
             shutil.copymode(path, tmp)
         os.replace(tmp, path)
@@ -210,37 +215,57 @@ def _write_atomically(path, data):
         raise
 
 
-def _load_kb(path, data, save=True):
-    """The store of the KB bytes `data` read from path, and whether a row
-    snapshot may be written beside the KB, at `<path>.rows`: not over a
-    file there that is no snapshot.
-
-    The store is the snapshot's when that is one of `data`
-    (`kb.load_snapshot`), else their text's (`kb.load_kb`), whose
-    diagnostics a snapshot never changes: one is written, with `save`,
-    only of a store a text load built.
-    """
+def _read_kb(path):
+    """The text of the KB file at path, empty where there is none, and the
+    digest of its bytes (`kb.kb_digest`), which are not kept."""
     try:
-        snapshot = _read_bytes(path + ".rows")
+        data = _read_bytes(path)
     except FileNotFoundError:
-        snapshot = None
-    except OSError:  # a directory, say
-        snapshot = b""
-    writable = snapshot is None or snapshot.startswith(kb.SNAPSHOT_MAGIC)
-    store = kb.load_snapshot(snapshot, data) if snapshot else None
+        data = b""
+    return _decode(path, data), kb.kb_digest(data)
+
+
+def _load_kb(path):
+    """The store of the KB at path: its row snapshot's when that is one of
+    the KB's bytes, else its text's (`kb.load_kb`), whose snapshot is then
+    written.  A snapshot changes no diagnostic: one is written only of a
+    store that a text load built."""
+    data = _read_bytes(path)
+    digest = kb.kb_digest(data)
+    store = _read_snapshot(path, digest)
     if store is None:
-        store = kb.load_kb(_decode(path, data), path)
-        if save and writable:
-            _write_snapshot(path, store, data)
-    return store, writable
+        # the bytes and then the text are each held only while needed, so
+        # that the text load and the snapshot's dump peak apart
+        text = _decode(path, data)
+        del data
+        store = kb.load_kb(text, path)
+        del text
+        _write_snapshot(path, store, digest)
+    return store
 
 
-def _write_snapshot(path, store, data):
-    """Write the row snapshot of a store and its KB bytes beside the KB; a
-    snapshot that cannot be written is left out in silence, as the KB text
-    stays the only store of record."""
+def _read_snapshot(path, digest):
+    """The store of the row snapshot `<path>.rows` of the KB bytes of
+    `digest` (`kb.load_snapshot`), or None."""
+    try:
+        return kb.load_snapshot(_read_bytes(path + ".rows"), digest)
+    except OSError:  # none, or a directory, say
+        return None
+
+
+def _write_snapshot(path, store, digest):
+    """Write the row snapshot of a store and the digest of its KB bytes to
+    `<path>.rows`, but never over a file there that is no snapshot.
+
+    A snapshot that cannot be written is left out in silence, as the KB
+    text stays the only store of record; nor is one synced to disk, as
+    its digest passes over one that a crash cut short."""
+    rows = path + ".rows"
     with contextlib.suppress(OSError):
-        _write_atomically(path + ".rows", kb.dump_snapshot(store, data))
+        with contextlib.suppress(FileNotFoundError), open(rows, "rb") as fh:
+            if fh.read(len(kb.SNAPSHOT_MAGIC)) != kb.SNAPSHOT_MAGIC:
+                return
+        _write_atomically(rows, kb.dump_snapshot(store, digest), durable=False)
 
 
 def _parse(text):
@@ -299,14 +324,10 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
         elif args.command == "ingest":
             entries = list(_input_sigs(args, stdin))
-            try:
-                data = _read_bytes(args.kb)
-            except FileNotFoundError:
-                data = b""
-            # a snapshot written now would be stale at once: it is written
-            # of the new KB, once that is in place
-            store, writable = _load_kb(args.kb, data, save=False)
-            text = _decode(args.kb, data)
+            text, digest = _read_kb(args.kb)
+            store = _read_snapshot(args.kb, digest)
+            if store is None:  # a snapshot written now would be stale at once
+                store = kb.load_kb(text, args.kb)
             if text and not text.endswith(("\n", "\r")):
                 text += "\n"  # else the first new line joins the KB's last
             # rows and facts past these are new: a repeat adds neither
@@ -318,14 +339,16 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
                     raise kb.LineError(path, lineno, str(e))
             new_rows = itertools.islice(store.rows.values(), loaded, None)
             data = (text + "".join(dsl.print_row(r) + "\n" for r in new_rows)).encode()
-            _write_atomically(args.kb, data)
-            if writable:
-                _write_snapshot(args.kb, store, data)
+            del text
+            _write_atomically(args.kb, (data,))
+            digest = kb.kb_digest(data)
+            del data  # neither the text nor its bytes is held through the dump
+            _write_snapshot(args.kb, store, digest)
             print("ingested %d signatures, %d new facts"
                   % (len(entries), len(store) - facts), file=out)
 
         else:  # query, equiv and facts read the KB, then the links, then the query
-            store, _ = _load_kb(args.kb, _read_bytes(args.kb))
+            store = _load_kb(args.kb)
             if args.command == "facts":
                 _write_lines(out, kb.dump_facts(store))
             else:

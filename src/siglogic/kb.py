@@ -7,8 +7,8 @@ text stays the only store of record.  A load (`load_kb`) reads each
 ground KB line into its row (`dsl.read_rows`) and counts its facts once
 from its keys (`_count_facts`), and `load_links` reads a links text into
 an EquivStore; `dump_snapshot` and `load_snapshot` turn a loaded store
-into bytes and back, checked against the KB's bytes; the CLI reads the
-files, calls these and prints a stored
+into bytes and back, checked against the digest of the KB's bytes
+(`kb_digest`); the CLI reads the files, calls these and prints a stored
 function from its row (`dsl.print_row`, through `FactStore.rows`); a
 Signature is built again (`reconstruct_signature`) only for a library
 caller and the oracle.  Facts are derived on demand:
@@ -45,8 +45,12 @@ from math import inf
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
-from _blake2 import blake2b  # hashlib would load OpenSSL, 3.6 MB more per process
+try:
+    from _blake2 import blake2b as _hash  # hashlib would load OpenSSL, 3.6 MB more per process
+except ImportError:  # an interpreter built without it, whose hashlib lacks blake2b too
+    from hashlib import sha256 as _hash
 
+from . import __version__
 from .dsl import lines_re, read_rows
 from .logic import (
     App,
@@ -278,54 +282,65 @@ def load_kb(text: str, path: str = "<kb>") -> FactStore:
 # A row snapshot's first bytes; the header in its blob names the format
 # and what wrote it.
 SNAPSHOT_MAGIC = b"\0siglogic rows\n"
-_SNAPSHOT_HEADER = ("siglogic rows", 1, sys.version_info[:2], marshal.version)
+_SNAPSHOT_HEADER = (
+    "siglogic rows", 2, __version__, sys.version_info[:2], marshal.version,
+)
 _DIGEST = len(SNAPSHOT_MAGIC) + 16  # the digest's end, the blob's start
 
 
-def _snapshot_digest(data: bytes, blob) -> bytes:
-    digest = blake2b(data, digest_size=16)
-    digest.update(blob)
-    return digest.digest()
+def kb_digest(data: bytes) -> bytes:
+    """The 16-byte blake2b digest (sha256 where Python lacks blake2b) of the
+    KB bytes `data`, which names their row snapshot: a caller need not
+    keep the bytes to write one."""
+    return _hash(data).digest()[:16]
 
 
-def dump_snapshot(store: FactStore, data: bytes) -> bytes:
+def _snapshot_digest(digest: bytes, blob) -> bytes:
+    outer = _hash(digest)
+    outer.update(blob)
+    return outer.digest()[:16]
+
+
+def dump_snapshot(store: FactStore, digest: bytes) -> tuple:
     """The row snapshot of a store loaded from, or written as, the KB bytes
-    `data`: `SNAPSHOT_MAGIC`, a 16-byte blake2b digest of `data` and the
-    blob, and one `marshal` blob of a header, the keys as plain tuples,
-    the rows, the shared identities and the fact count.  `marshal` keeps
-    object identity within a blob, so the rows share their tokens as a
-    text load's do."""
-    blob = marshal.dumps((
-        _SNAPSHOT_HEADER,
-        tuple(map(tuple, store._rows)),
-        tuple(store._rows.values()),
-        store._shared,
-        store._size,
-    ))
-    return SNAPSHOT_MAGIC + _snapshot_digest(data, blob) + blob
+    of `digest` (`kb_digest`), as two parts to be written in turn (joining
+    them would copy the blob): `SNAPSHOT_MAGIC` and a 16-byte blake2b
+    digest of `digest` and the blob, then one `marshal` blob of a header
+    and the rows.  `marshal` keeps object identity within a blob, so the
+    rows share their tokens as a text load's do."""
+    blob = marshal.dumps((_SNAPSHOT_HEADER, tuple(store._rows.values())))
+    return SNAPSHOT_MAGIC + _snapshot_digest(digest, blob), blob
 
 
-def load_snapshot(snapshot: bytes, data: bytes) -> FactStore | None:
-    """The store of a row snapshot (`dump_snapshot`) of the KB bytes
-    `data`, equal to `load_kb`'s of their text; None when it is no
-    snapshot of them or of this format and Python.
+def load_snapshot(snapshot: bytes, digest: bytes) -> FactStore | None:
+    """The store of a row snapshot (`dump_snapshot`, its parts joined) of
+    the KB bytes of `digest` (`kb_digest`), equal to `load_kb`'s of their
+    text; None when it is no snapshot of them or of this format, siglogic
+    and Python.
 
     The digest is checked before the blob is decoded: `marshal` may crash
     the process on bytes it did not write, and a changed byte anywhere
-    changes the digest."""
+    changes the digest.  Only the rows are read from the blob: each key
+    and the facts are derived from them as `load_kb` derives them."""
     blob = memoryview(snapshot)[_DIGEST:]
     if (not snapshot.startswith(SNAPSHOT_MAGIC)
-            or snapshot[len(SNAPSHOT_MAGIC):_DIGEST] != _snapshot_digest(data, blob)):
+            or snapshot[len(SNAPSHOT_MAGIC):_DIGEST] != _snapshot_digest(digest, blob)):
         return None
     try:
-        header, keys, rows, shared, size = marshal.loads(blob)
+        header, rows = marshal.loads(blob)
     except (EOFError, ValueError, TypeError):  # another Python's blob, say
         return None
+    finally:
+        del snapshot, blob  # freed here, before the keys are built, if passed on
     if header != _SNAPSHOT_HEADER:
         return None
     store = FactStore()
-    store._rows.update(zip(map(unchecked_key, keys), rows))
-    store._shared, store._size = shared, size
+    # a row (lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)
+    # is 6 + 2n long; its key is read as dsl.read_rows reads it
+    store._rows.update(
+        {unchecked_key((*row[:4], (len(row) - 6) >> 1)): row for row in rows}
+    )
+    _count_facts(store, store.keys)
     return store
 
 

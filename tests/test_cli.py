@@ -690,7 +690,9 @@ def test_failed_ingest_leaves_kb_unchanged(kb_path, tmp_path, monkeypatch):
 def _snapshot_of(kb_file):
     """The store that the row snapshot beside a KB file loads, or None."""
     return siglogic.kb.load_snapshot(
-        Path(str(kb_file) + ".rows").read_bytes(), Path(kb_file).read_bytes())
+        Path(str(kb_file) + ".rows").read_bytes(),
+        siglogic.kb.kb_digest(Path(kb_file).read_bytes()),
+    )
 
 
 def _no_tmp(directory):
@@ -734,11 +736,12 @@ def _damage(rows, case):
     elif case == "another Python":
         from siglogic import kb
 
-        header = ("siglogic rows", 1, (2, 7), 4)
+        header = kb._SNAPSHOT_HEADER[:3] + ((2, 7), 4)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kb, "_SNAPSHOT_HEADER", header)
             kb_data = Path(str(rows)[:-len(".rows")]).read_bytes()
-            rows.write_bytes(kb.dump_snapshot(kb.load_kb(kb_data.decode()), kb_data))
+            rows.write_bytes(b"".join(
+                kb.dump_snapshot(kb.load_kb(kb_data.decode()), kb.kb_digest(kb_data))))
     elif case == "a directory":
         rows.unlink()
         rows.mkdir()

@@ -21,6 +21,7 @@ from siglogic.kb import (
     dump_facts,
     dump_snapshot,
     ingest_signature,
+    kb_digest,
     load_kb,
     load_links,
     load_snapshot,
@@ -1287,9 +1288,9 @@ def _strings(store):
 @given(_kb_texts())
 @example("")
 def test_a_row_snapshot_loads_the_store_its_text_loads(text):
-    data = text.encode()
+    digest = kb_digest(text.encode())
     loaded = load_kb(text)
-    store = load_snapshot(dump_snapshot(loaded, data), data)
+    store = load_snapshot(b"".join(dump_snapshot(loaded, digest)), digest)
     assert list(store.rows.items()) == list(loaded.rows.items())
     assert {type(key) for key in store.keys} <= {FunctionKey}
     assert (len(store), store._shared, store._index) == (len(loaded), loaded._shared, {})
@@ -1299,18 +1300,60 @@ def test_a_row_snapshot_loads_the_store_its_text_loads(text):
     assert dump_facts(store) == dump_facts(loaded)
 
 
+def test_a_row_snapshot_holds_its_header_and_rows_as_pinned_here():
+    # Whatever a snapshot holds is read back as is: a change to it, the
+    # row layout included, must change the format tag (2) as well as this
+    # test, so that no snapshot written before is read as one of the new.
+    import hashlib
+    import marshal
+    import sys
+
+    from siglogic import __version__, kb
+
+    text = _MAX + "\njava lang Math::abs(int:a,...) -> int\n"
+    digest = kb_digest(text.encode())
+    assert digest == hashlib.blake2b(text.encode()).digest()[:16]
+    head, blob = dump_snapshot(load_kb(text), digest)
+    assert head == kb.SNAPSHOT_MAGIC + hashlib.blake2b(digest + blob).digest()[:16]
+    assert marshal.loads(blob) == (
+        ("siglogic rows", 2, __version__, sys.version_info[:2], marshal.version),
+        (
+            ("java", "lang", "Math", "max", "long", "long", "a", "long", "b", False),
+            ("java", "lang", "Math", "abs", "int", "int", "a", True),
+        ),
+    )
+    store = load_snapshot(head + blob, digest)
+    assert list(store.keys) == [
+        FunctionKey("java", "lang", "Math", "max", 2),
+        FunctionKey("java", "lang", "Math", "abs", 1),
+    ]
+    # 6 + 3*2 and 6 + 3*1 of their own, one namespace and one class atom
+    assert (len(store), store._shared) == (
+        23, {("java", "lang"), ("java", "lang", "Math")}
+    )
+
+
 def test_a_row_snapshot_of_other_bytes_or_damaged_loads_nothing(monkeypatch):
     from siglogic import kb
 
     text = "\n".join(ALL_FIXTURE_SIGS) + "\n"
     data = text.encode()
-    snapshot = dump_snapshot(load_kb(text), data)
-    assert load_snapshot(snapshot, data) is not None
+    digest = kb_digest(data)
+    snapshot = b"".join(dump_snapshot(load_kb(text), digest))
+    assert load_snapshot(snapshot, digest) is not None
     flipped = bytearray(snapshot)
     flipped[-40] ^= 1  # marshal may crash on bytes it did not write
     not_marshal = b"\xff" * 40
-    monkeypatch.setattr(kb, "_SNAPSHOT_HEADER", ("siglogic rows", 1, (2, 7), 4))
-    other_python = dump_snapshot(load_kb(text), data)
+    others = []  # another Python's, another siglogic's, another format's
+    tag, version, python, marshal_version = kb._SNAPSHOT_HEADER[1:]
+    for header in [
+        ("siglogic rows", tag, version, (2, 7), marshal_version),
+        ("siglogic rows", tag, version, python, 2),
+        ("siglogic rows", tag, "0.0.1", python, marshal_version),
+        ("siglogic rows", 1, version, python, marshal_version),
+    ]:
+        monkeypatch.setattr(kb, "_SNAPSHOT_HEADER", header)
+        others.append(b"".join(dump_snapshot(load_kb(text), digest)))
     monkeypatch.undo()
     for bad, kb_data in [
         (snapshot, data + b"java lang Math::abs(int:a) -> int\n"),  # a stale one
@@ -1320,7 +1363,27 @@ def test_a_row_snapshot_of_other_bytes_or_damaged_loads_nothing(monkeypatch):
         (b"", data),
         (b"\0garbage" * 50, data),
         (bytes(flipped), data),
-        (kb.SNAPSHOT_MAGIC + kb._snapshot_digest(data, not_marshal) + not_marshal, data),
-        (other_python, data),
+        (kb.SNAPSHOT_MAGIC + kb._snapshot_digest(digest, not_marshal) + not_marshal, data),
+        *((other, data) for other in others),
     ]:
-        assert load_snapshot(bad, kb_data) is None
+        assert load_snapshot(bad, kb_digest(kb_data)) is None
+
+
+def test_a_kb_without_the_builtin_blake2_module_still_loads_its_snapshot():
+    # where Python lacks `_blake2` (and so hashlib's blake2b), a digest
+    # is cut from sha256: siglogic imports and its snapshots still work
+    import subprocess
+    import sys
+
+    code = (
+        "import hashlib, sys; sys.modules['_blake2'] = None\n"
+        "from siglogic import kb\n"
+        "data = b'java lang Math::abs(int:a) -> int\\n'\n"
+        "digest = kb.kb_digest(data)\n"
+        "assert digest == hashlib.sha256(data).digest()[:16]\n"
+        "store = kb.load_kb(data.decode())\n"
+        "loaded = kb.load_snapshot(b''.join(kb.dump_snapshot(store, digest)), digest)\n"
+        "assert list(loaded.rows.items()) == list(store.rows.items())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, check=True)
