@@ -45,7 +45,7 @@ import gc
 import itertools
 import os
 import re
-import shutil
+import stat
 import sys
 
 from . import dsl, kb, logic, normalizer
@@ -207,7 +207,7 @@ def _write_atomically(path, parts, durable=True):
                 fh.flush()
                 os.fsync(fh.fileno())
         with contextlib.suppress(FileNotFoundError):  # a new file
-            shutil.copymode(path, tmp)
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

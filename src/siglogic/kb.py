@@ -106,6 +106,9 @@ class LineError(Exception):
         super().__init__("%s:%d: %s" % (path, lineno, message))
         self.path, self.lineno, self.message = path, lineno, message
 
+    def __reduce__(self):  # else unpickling calls it with the text alone
+        return LineError, (self.path, self.lineno, self.message)
+
 
 def fn_skolem(key: FunctionKey) -> str:
     return "fn:" + key.text

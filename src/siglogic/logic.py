@@ -12,17 +12,19 @@ n lambdas, 4 existentials (value, function, namespace, class entities)
 and 8 + 3n atoms.  Each distinct wildcard label adds one existential.
 No binder is spelled like a constant of its formula or like another
 binder (`_freshen`), and `beta_apply` keeps it so, nor like a variable
-it substitutes.
+it substitutes.  Var, App, Atom and Formula are checked named tuples,
+like the model's values (`model.Value`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .model import (
     Const,
     EquivIn as EquivInHead,
     Signature,
+    Value,
     Wildcard,
     ground_slot,
     lang_token,
@@ -44,20 +46,18 @@ class ArityMismatch(LogicError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Value, namedtuple("Var", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class App:
-    """Applied term `f(x1,...,xn)`; only legal as the second arg of `eq`."""
+class App(Value, namedtuple("App", "fn args")):
+    """Applied term `f(x1,...,xn)`; only legal as the second arg of `eq`.
+    `fn` is a Const for a known name, a Var when the name is queried."""
 
-    fn: "Term"  # Const for a known name, Var when the name is queried
-    args: tuple = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __new__(cls, fn, args=()):
+        return tuple.__new__(cls, (fn, tuple(args)))
 
 
 Term = Var | Const | App
@@ -76,36 +76,30 @@ PREDICATE_ARITIES = {
 }
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple
+class Atom(Value, namedtuple("Atom", "pred args")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        arity = PREDICATE_ARITIES.get(self.pred)
+    def __new__(cls, pred, args):
+        args = tuple(args)
+        arity = PREDICATE_ARITIES.get(pred)
         if arity is None:
-            raise LogicError("unknown predicate: %r" % (self.pred,))
-        if len(self.args) != arity:
-            raise LogicError(
-                "%s expects %d args, got %d" % (self.pred, arity, len(self.args))
-            )
+            raise LogicError("unknown predicate: %r" % (pred,))
+        if len(args) != arity:
+            raise LogicError("%s expects %d args, got %d" % (pred, arity, len(args)))
+        return tuple.__new__(cls, (pred, args))
 
 
-@dataclass(frozen=True)
-class Formula:
-    lambdas: tuple = field(default=())
-    existentials: tuple = field(default=())
-    atoms: tuple = field(default=())
-    # `(?)` parameter list: no lambdas, zero-arg App, no arity constraint
-    arity_unconstrained: bool = False
-    # trailing `...`: explicit params are a lower bound on arity
-    min_arity: bool = False
+class Formula(Value, namedtuple(
+    "Formula", "lambdas existentials atoms arity_unconstrained min_arity"
+)):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        object.__setattr__(self, "existentials", tuple(self.existentials))
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+    # arity_unconstrained: a `(?)` list, with no lambdas, a zero-arg App and
+    # no arity constraint; min_arity: a trailing `...`, a lower bound on arity
+    def __new__(cls, lambdas=(), existentials=(), atoms=(),
+                arity_unconstrained=False, min_arity=False):
+        return tuple.__new__(cls, (tuple(lambdas), tuple(existentials), tuple(atoms),
+                                   arity_unconstrained, min_arity))
 
 
 def _fresh(name, taken, suffix="_e"):
@@ -236,7 +230,7 @@ def beta_apply(formula: Formula, args) -> Formula:
     # one simultaneous substitution: an argument's variable is never renamed
     binds.update(zip(formula.existentials, map(Var, existentials)))
     atoms = subst_atoms(formula.atoms, binds)
-    return replace(formula, lambdas=(), existentials=existentials, atoms=atoms)
+    return formula._replace(lambdas=(), existentials=existentials, atoms=atoms)
 
 
 def _canon(formula: Formula) -> Formula:
@@ -244,8 +238,8 @@ def _canon(formula: Formula) -> Formula:
     bound = formula.lambdas + formula.existentials
     k = len(formula.lambdas)
     atoms = subst_atoms(formula.atoms, {x: Var(i) for i, x in enumerate(bound)})
-    return replace(formula, lambdas=range(k), existentials=range(k, len(bound)),
-                   atoms=atoms)
+    return formula._replace(lambdas=range(k), existentials=range(k, len(bound)),
+                            atoms=atoms)
 
 
 def alpha_eq(f1: Formula, f2: Formula) -> bool:
@@ -319,6 +313,6 @@ def validate_formula(formula: Formula):
                 check_term(a)
 
     for atom in formula.atoms:
-        # Atom.__post_init__ enforces predicates and arity; check placement
+        # building an Atom enforces predicates and arity; check placement
         for i, arg in enumerate(atom.args):
             check_term(arg, app_ok=(atom.pred == "eq" and i == 1))

@@ -5,6 +5,10 @@ namespace and class, the function name, an ordered list of typed named
 parameters, and a return slot.  Any slot may be a concrete token or a
 query-side wildcard ``label?``; the token ``UNK`` marks information known
 to be missing, and is ground like any other.
+
+Each value type here and in `logic` is an immutable named tuple on
+`Value` whose `__new__` checks it, also when `_replace` copies it.  A
+value equals only its own class's (`Const("x") != Wildcard("x") != ("x",)`).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import functools
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 # Character set of concrete tokens, the DSL grammar's `token`.  `|` and
 # `:` lie outside it, so the KB's `|`-joined witness ids are injective.
@@ -32,15 +35,35 @@ class NotGround(ModelError):
     function named UNK, where a ground signature is required."""
 
 
-@dataclass(frozen=True)
-class Const:
+class Value(tuple):  # each value type is `X(Value, namedtuple("X", fields))`
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # else tuple's, which compares across classes
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError("%s values are not ordered" % type(self).__name__)
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def _replace(self, **changes):  # namedtuple's skips __new__
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class Const(Value, namedtuple("Const", "token")):
     """A concrete token in a slot: a type, a name, a language tag, or UNK."""
 
-    token: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not TOKEN_RE.fullmatch(self.token):
-            raise ModelError("invalid constant token: %r" % (self.token,))
+    def __new__(cls, token):
+        if not TOKEN_RE.fullmatch(token):
+            raise ModelError("invalid constant token: %r" % (token,))
+        return tuple.__new__(cls, (token,))
 
 
 @functools.cache  # unbounded: parsed, normalized and rebuilt signatures' tokens
@@ -57,15 +80,15 @@ def lang_token(tok: str) -> str:
     return tok if tok == "UNK" else tok.lower()
 
 
-@dataclass(frozen=True)
-class Wildcard:
+class Wildcard(Value, namedtuple("Wildcard", "label")):
     """Query variable in a slot; equal labels in one signature co-refer."""
 
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not TOKEN_RE.fullmatch(self.label):
-            raise ModelError("invalid wildcard label: %r" % (self.label,))
+    def __new__(cls, label):
+        if not TOKEN_RE.fullmatch(label):
+            raise ModelError("invalid wildcard label: %r" % (label,))
+        return tuple.__new__(cls, (label,))
 
 
 @functools.cache  # unbounded: the labels of parsed and expanded queries
@@ -79,45 +102,41 @@ def wildcard_slot(label: str) -> Wildcard:
 SlotValue = Const | Wildcard
 
 
-@dataclass(frozen=True)
-class Param:
-    type_slot: SlotValue
-    name_slot: SlotValue
+class Param(Value, namedtuple("Param", "type_slot name_slot")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EquivIn:
+class EquivIn(Value, namedtuple("EquivIn", "base_name target_lang")):
     """Head requesting the equivalent of `base_name` in `target_lang`."""
 
-    base_name: str
-    target_lang: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        for tok in (self.base_name, self.target_lang):
+    def __new__(cls, base_name, target_lang):
+        for tok in (base_name, target_lang):
             if not TOKEN_RE.fullmatch(tok):
                 raise ModelError("invalid EquivIn token: %r" % (tok,))
+        return tuple.__new__(cls, (base_name, target_lang))
 
 
-@dataclass(frozen=True)
-class Signature:
-    lang: SlotValue
-    namespace: SlotValue
-    class_name: SlotValue
-    head: SlotValue | EquivIn  # a plain head is its name slot
-    params: tuple = field(default=())  # Params, numbered 1.. by place
-    params_wildcard: bool = False
-    vararg: bool = False
-    ret: SlotValue = UNK
+class Signature(Value, namedtuple(
+    "Signature", "lang namespace class_name head params params_wildcard vararg ret"
+)):
+    """A plain head is its name slot; `params` are Params, numbered 1.. by place."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))
-        if self.params_wildcard and (self.params or self.vararg):
+    __slots__ = ()
+
+    def __new__(cls, lang, namespace, class_name, head, params=(),
+                params_wildcard=False, vararg=False, ret=UNK):
+        params = tuple(params)
+        if params_wildcard and (params or vararg):
             raise ModelError("whole-list wildcard excludes explicit params")
-        if self.vararg and not self.params:
+        if vararg and not params:
             # the concrete syntax only admits `,...` after at least one param
             raise ModelError("vararg requires at least one explicit param")
-        if isinstance(self.head, EquivIn) and isinstance(self.lang, Wildcard):
+        if isinstance(head, EquivIn) and isinstance(lang, Wildcard):
             raise ModelError("EquivIn requires a concrete source language")
+        return tuple.__new__(cls, (lang, namespace, class_name, head, params,
+                                   params_wildcard, vararg, ret))
 
 
 class FunctionKey(namedtuple("FunctionKey", "lang namespace class_name name arity")):

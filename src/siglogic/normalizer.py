@@ -21,7 +21,6 @@ first fault in written order is the one reported.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import re
 
@@ -109,7 +108,7 @@ def lowercase_lang(sig: Signature) -> Signature:
     """sig with its language tag as every KB stores it (`lang_token`)."""
     lang = sig.lang
     if isinstance(lang, Const) and lang.token != lang_token(lang.token):
-        sig = dataclasses.replace(sig, lang=ground_slot(lang_token(lang.token)))
+        sig = sig._replace(lang=ground_slot(lang_token(lang.token)))
     return sig
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import os
 import random
@@ -108,6 +107,18 @@ def _run_script(argv, stdin_text):
         input=stdin_text, capture_output=True, text=True, env=env, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_starting_the_cli_imports_no_module_it_does_not_need():
+    # `-S`: no site packages, so the modules counted are the CLI's own
+    env = dict(os.environ, PYTHONPATH=str(Path(siglogic.__file__).parents[1]))
+    unneeded = ("dataclasses", "inspect", "shutil")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, siglogic.cli; print([m for m in %r if m in sys.modules])" % (unneeded,)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_console_entry_point_exit_codes():
@@ -314,12 +325,12 @@ def test_loading_a_kb_compiles_nothing(kb_path, eq_path, compile_calls):
 def load_work(monkeypatch):
     """Lines parsed and Signatures built while the CLI loads a KB
     (`kb.load_kb`), counted at `dsl.parse_signature` and at
-    `Signature.__post_init__`."""
+    `Signature.__new__`."""
     from siglogic import dsl, kb, model
 
     made, loading = [], []
     real_load, real_parse = kb.load_kb, dsl.parse_signature
-    real_post_init = model.Signature.__post_init__
+    real_new = model.Signature.__new__
 
     def load(*args):
         loading.append(True)
@@ -333,14 +344,15 @@ def load_work(monkeypatch):
             made.append(text)
         return real_parse(text)
 
-    def post_init(sig):
+    def new(cls, *args, **kwargs):
+        sig = real_new(cls, *args, **kwargs)
         if loading:
             made.append(sig)
-        real_post_init(sig)
+        return sig
 
     monkeypatch.setattr(kb, "load_kb", load)
     monkeypatch.setattr(dsl, "parse_signature", parse)
-    monkeypatch.setattr(model.Signature, "__post_init__", post_init)
+    monkeypatch.setattr(model.Signature, "__new__", new)
     return made
 
 
@@ -812,6 +824,16 @@ def test_ingest_writes_the_snapshot_of_the_new_kb(tmp_path, case):
             assert (tmp_path / name / "kb.txt.rows").is_dir()
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0][0] == 0
+
+
+def test_ingest_keeps_the_permission_bits_of_the_kb_and_its_snapshot(kb_path):
+    assert _run(["facts", "--kb", kb_path])[0] == 0  # writes the snapshot
+    rows = kb_path + ".rows"
+    os.chmod(kb_path, 0o640)
+    os.chmod(rows, 0o600)
+    code, out, _ = _run(["ingest", "--kb", kb_path], "java lang Math::abs(int:a) -> int\n")
+    assert (code, out) == (0, "ingested 1 signatures, 9 new facts\n")
+    assert (os.stat(kb_path).st_mode & 0o7777, os.stat(rows).st_mode & 0o7777) == (0o640, 0o600)
 
 
 @pytest.mark.parametrize("command", ["query", "facts", "ingest"])
@@ -1343,20 +1365,20 @@ def _kb_line(draw, earlier):
     if kind in ("again", "conflict") and earlier:
         sig = draw(st.sampled_from(earlier))
         if kind == "conflict" and sig.params and draw(st.booleans()):
-            sig = dataclasses.replace(sig, vararg=not sig.vararg)
+            sig = sig._replace(vararg=not sig.vararg)
         elif kind == "conflict":
             ret = Const("y" if sig.ret == Const("x") else "x")
-            sig = dataclasses.replace(sig, ret=ret)
+            sig = sig._replace(ret=ret)
     elif kind == "any":
         sig = draw(signatures())
     else:
         sig = draw(ground_signatures)
         if kind == "unk":
-            sig = dataclasses.replace(sig, head=UNK)
+            sig = sig._replace(head=UNK)
     if isinstance(sig.lang, Const):
         earlier.append(sig)
         if draw(st.booleans()):
-            sig = dataclasses.replace(sig, lang=Const(sig.lang.token.upper()))
+            sig = sig._replace(lang=Const(sig.lang.token.upper()))
     text = print_signature(sig)
     if draw(st.booleans()):  # whitespace around the punctuation, none inside a token
         space = st.sampled_from(["", " ", "  ", "\t", *_ODD_SPACES])

@@ -1,6 +1,6 @@
 import copy
+import pickle
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -854,21 +854,21 @@ def _matcher_edge_queries(sig):
     """Queries over a stored signature, one per edge case of the matcher."""
     w = Wildcard
     yield "ground", sig
-    yield "one label", replace(sig, ret=w("r"))
-    yield "no constant", replace(
-        sig, lang=w("l"), namespace=w("N"), class_name=w("C"), head=w("f"),
+    yield "one label", sig._replace(ret=w("r"))
+    yield "no constant", sig._replace(
+        lang=w("l"), namespace=w("N"), class_name=w("C"), head=w("f"),
         params=tuple(Param(w("t%d" % j), w("p%d" % j)) for j in range(len(sig.params))),
         ret=w("r"),
     )
     # t in the ret slot and in every parameter's type
-    yield "repeated label", replace(
-        sig, head=w("f"), params=tuple(Param(w("t"), p.name_slot) for p in sig.params),
+    yield "repeated label", sig._replace(
+        head=w("f"), params=tuple(Param(w("t"), p.name_slot) for p in sig.params),
         ret=w("t"),
     )
-    yield "unsorted labels", replace(sig, lang=w("z"), class_name=w("m"), ret=w("a"))
+    yield "unsorted labels", sig._replace(lang=w("z"), class_name=w("m"), ret=w("a"))
     if sig.params:
-        yield "vararg", replace(sig, head=w("f"), params=sig.params[:1], vararg=True)
-    yield "(?)", replace(sig, params=(), params_wildcard=True, vararg=False, head=w("f"))
+        yield "vararg", sig._replace(head=w("f"), params=sig.params[:1], vararg=True)
+    yield "(?)", sig._replace(params=(), params_wildcard=True, vararg=False, head=w("f"))
 
 
 def test_answer_agrees_with_brute_force_on_matcher_edge_cases():
@@ -1024,11 +1024,11 @@ def _index_queries(rng, stored):
     labelled = Signature(Wildcard("l"), Wildcard("N"), Wildcard("C"),
                          Wildcard("f"), params_wildcard=True, ret=Wildcard("r"))
     fields = ("lang", "namespace", "class_name", "head", "ret")
-    queries = [labelled, replace(labelled, head=Const("nope"))]
+    queries = [labelled, labelled._replace(head=Const("nope"))]
     if stored:
         sig = rng.choice(stored)
-        queries += [replace(labelled, **{f: getattr(sig, f)}) for f in fields]
-        queries.append(replace(labelled, ret=UNK))
+        queries += [labelled._replace(**{f: getattr(sig, f)}) for f in fields]
+        queries.append(labelled._replace(ret=UNK))
     return queries + [random_query(rng, stored) for _ in range(4)]
 
 
@@ -1234,6 +1234,13 @@ def test_load_kb_raises_a_line_error_at_the_first_bad_line(path, bad, message):
     assert str(raised.value) == "%s:3: %s" % (path or "<kb>", message)
     e = raised.value  # a library caller reads its fields, not its text
     assert (e.path, e.lineno, e.message) == (path or "<kb>", 3, message)
+
+
+def test_a_line_error_survives_pickling():
+    e = pickle.loads(pickle.dumps(LineError("lib/kb.txt", 7, "bad line")))
+    assert type(e) is LineError
+    assert (str(e), e.path, e.lineno, e.message) == (
+        "lib/kb.txt:7: bad line", "lib/kb.txt", 7, "bad line")
 
 
 @pytest.mark.parametrize("path", [None, "lib/links.txt"])

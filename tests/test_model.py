@@ -1,4 +1,6 @@
-import dataclasses
+import copy
+import operator
+import pickle
 import re
 from operator import attrgetter
 
@@ -24,7 +26,7 @@ from siglogic.model import (
     wildcard_labels,
 )
 from siglogic.dsl import parse_signature, print_signature, read_rows
-from siglogic.logic import signature_row
+from siglogic.logic import Formula, Var, compile_signature, signature_row
 from siglogic.normalizer import lowercase_lang
 
 from strategies import ground_signatures, signatures
@@ -90,7 +92,7 @@ def test_unk_slots_count_as_ground():
 @given(st.one_of(
     signatures(),
     ground_signatures,
-    ground_signatures.map(lambda sig: dataclasses.replace(sig, head=UNK)),
+    ground_signatures.map(lambda sig: sig._replace(head=UNK)),
 ))
 def test_groundness_read_from_the_line_match_agrees_with_the_walk(sig):
     # sig is built by hand, so not_ground_reason walks its slots; the KB
@@ -195,3 +197,84 @@ def test_wildcard_labels_and_groundness_read_as_the_printed_text(sig):
     if not isinstance(sig.head, EquivIn) and sig.head != UNK:
         ground = not labels and not sig.params_wildcard
         assert (not_ground_reason(sig) is None) == ground
+
+
+_SIG_TEXT = "java lang Math::max(long:a,long:b?) -> r?"
+_FORMULA_TEXT = "java lang Math::f?(long:a) -> long"
+
+
+def test_a_value_equals_only_values_of_its_own_class():
+    values = [Const("x"), Wildcard("x"), Var("x"), ("x",)]
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (a == b, a != b) == (i == j, i != j), (a, b)
+    assert Param(UNK, Const("a")) != (UNK, Const("a"))
+
+
+def test_equal_values_hash_equal():
+    for build in (lambda: parse_signature(_SIG_TEXT),
+                  lambda: compile_signature(parse_signature(_FORMULA_TEXT)),
+                  lambda: Const("x"), lambda: EquivIn("max", "python")):
+        a, b = build(), build()
+        assert a == b and hash(a) == hash(b)
+
+
+def test_values_are_immutable_and_unordered():
+    sig = parse_signature(_SIG_TEXT)
+    with pytest.raises(AttributeError):
+        sig.ret = UNK
+    with pytest.raises(AttributeError):
+        Const("x").token = "y"
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((Const("a"), Const("b")), (Const("a"), ("b",)), (("b",), Const("a"))):
+            with pytest.raises(TypeError):
+                compare(a, b)
+
+
+def test_replace_builds_the_value_anew_through_its_checks():
+    sig = parse_signature("java lang Math::max(long:a) -> long")
+    with pytest.raises(ModelError):
+        sig._replace(params_wildcard=True)
+    with pytest.raises(ModelError):
+        Const("x")._replace(token="a b")
+    with pytest.raises(TypeError):
+        sig._replace(nope=UNK)
+    assert sig._replace(params=list(sig.params)).params == sig.params
+    assert Formula()._replace(lambdas=range(2)).lambdas == (0, 1)
+    assert Signature(Const("java"), Const("lang"), Const("Math"), Const("max")).ret is UNK
+
+
+def test_value_reprs_are_pinned():
+    assert repr(parse_signature(_SIG_TEXT)) == (
+        "Signature(lang=Const(token='java'), namespace=Const(token='lang'), "
+        "class_name=Const(token='Math'), head=Const(token='max'), "
+        "params=(Param(type_slot=Const(token='long'), name_slot=Const(token='a')), "
+        "Param(type_slot=Const(token='long'), name_slot=Wildcard(label='b'))), "
+        "params_wildcard=False, vararg=False, ret=Wildcard(label='r'))"
+    )
+    assert repr(compile_signature(parse_signature(_FORMULA_TEXT))) == (
+        "Formula(lambdas=('x1',), existentials=('v', 'f_e', 'n', 'c', 'f'), "
+        "atoms=(Atom(pred='fun', args=(Var(name='f_e'), Var(name='f'))), "
+        "Atom(pred='eq', args=(Var(name='v'), App(fn=Var(name='f'), args=(Var(name='x1'),)))), "
+        "Atom(pred='lang', args=(Var(name='f_e'), Const(token='java'))), "
+        "Atom(pred='type', args=(Var(name='v'), Const(token='long'))), "
+        "Atom(pred='class', args=(Var(name='c'), Const(token='Math'))), "
+        "Atom(pred='in_class', args=(Var(name='f_e'), Var(name='c'))), "
+        "Atom(pred='namespace', args=(Var(name='n'), Const(token='lang'))), "
+        "Atom(pred='in_namespace', args=(Var(name='f_e'), Var(name='n'))), "
+        "Atom(pred='var', args=(Var(name='x1'), Const(token='a'))), "
+        "Atom(pred='type', args=(Var(name='x1'), Const(token='long'))), "
+        "Atom(pred='has_param', args=(Var(name='f_e'), Var(name='x1'), Const(token='1')))), "
+        "arity_unconstrained=False, min_arity=False)"
+    )
+
+
+def test_values_survive_pickle_and_deepcopy():
+    values = [
+        parse_signature(_SIG_TEXT),
+        parse_signature("java lang Math::EquivIn(max,python)(?) -> r?"),
+        compile_signature(parse_signature(_FORMULA_TEXT)),
+    ]
+    for value in values:
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and repr(copied) == repr(value)
