@@ -45,7 +45,7 @@ import gc
 import itertools
 import os
 import re
-import stat
+import shutil
 import sys
 
 from . import dsl, kb, logic, normalizer
@@ -207,7 +207,7 @@ def _write_atomically(path, parts, durable=True):
                 fh.flush()
                 os.fsync(fh.fileno())
         with contextlib.suppress(FileNotFoundError):  # a new file
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

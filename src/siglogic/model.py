@@ -7,8 +7,9 @@ query-side wildcard ``label?``; the token ``UNK`` marks information known
 to be missing, and is ground like any other.
 
 Each value type here and in `logic` is an immutable named tuple on
-`Value` whose `__new__` checks it, also when `_replace` copies it.  A
-value equals only its own class's (`Const("x") != Wildcard("x") != ("x",)`).
+`Value` whose `__new__` checks it, also when `_replace`, `copy.replace`
+or `_make` builds it.  A value equals only its own class's
+(`Const("x") != Wildcard("x") != ("x",)`).
 """
 
 from __future__ import annotations
@@ -51,8 +52,15 @@ class Value(tuple):  # each value type is `X(Value, namedtuple("X", fields))`
 
     __le__ = __gt__ = __ge__ = __lt__
 
-    def _replace(self, **changes):  # namedtuple's skips __new__
+    # namedtuple's `_replace`, `__replace__` (`copy.replace`) and `_make` skip __new__
+    def _replace(self, **changes):
         return type(self)(**{**self._asdict(), **changes})
+
+    __replace__ = _replace
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class Const(Value, namedtuple("Const", "token")):

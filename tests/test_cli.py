@@ -109,16 +109,26 @@ def _run_script(argv, stdin_text):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_starting_the_cli_imports_no_module_it_does_not_need():
-    # `-S`: no site packages, so the modules counted are the CLI's own
+def test_a_cli_call_imports_no_module_it_does_not_need(tmp_path):
+    # `-S`: no site packages, so the modules counted are the CLI's own.
+    # Calls, not the import alone: argparse's formatter imports `shutil`
+    # on every call, so only what no call needs is counted.
     env = dict(os.environ, PYTHONPATH=str(Path(siglogic.__file__).parents[1]))
-    unneeded = ("dataclasses", "inspect", "shutil")
+    unneeded = ("dataclasses", "inspect")
+    kb_file = str(tmp_path / "kb.sig")
+    script = (
+        "import sys, siglogic.cli as cli\n"
+        "assert cli.run(['ingest', '--kb', %r]) == 0\n"
+        "assert cli.run(['query', %r, '--kb', %r]) == 0\n"
+        "print([m for m in %r if m in sys.modules], file=sys.stderr)\n"
+    ) % (kb_file, WILDCARD_QUERY, kb_file, unneeded)
     proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, siglogic.cli; print([m for m in %r if m in sys.modules])" % (unneeded,)],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-S", "-c", script],
+        input=JAVA_MAX + "\n", capture_output=True, text=True, env=env, timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
+    assert proc.stdout.startswith("ingested 1 signatures")
+    assert os.path.exists(kb_file + ".rows")
 
 
 def test_console_entry_point_exit_codes():

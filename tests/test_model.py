@@ -241,6 +241,19 @@ def test_replace_builds_the_value_anew_through_its_checks():
         sig._replace(nope=UNK)
     assert sig._replace(params=list(sig.params)).params == sig.params
     assert Formula()._replace(lambdas=range(2)).lambdas == (0, 1)
+    # `copy.replace` (Python 3.13+) calls `__replace__`; `_make` builds from an iterable
+    replace = getattr(copy, "replace", lambda obj, **changes: obj.__replace__(**changes))
+    with pytest.raises(ModelError):
+        replace(sig, params_wildcard=True)
+    with pytest.raises(ModelError):
+        replace(Const("x"), token="a b")
+    assert replace(Formula(), lambdas=range(2)).lambdas == (0, 1)
+    with pytest.raises(ModelError):
+        Signature._make((*sig[:5], True, *sig[6:]))
+    with pytest.raises(ModelError):
+        Const._make(["a b"])
+    assert Formula._make((range(2), (), ())).lambdas == (0, 1)
+    assert Signature._make(sig) == sig
     assert Signature(Const("java"), Const("lang"), Const("Math"), Const("max")).ret is UNK
 
 
