@@ -33,7 +33,9 @@ in its input adds no trust boundary.
 All input is read as UTF-8; a leading byte-order mark is dropped, so
 `ingest` writes the KB back without one.  Exit codes: 0 success,
 1 parse/normalize error, key conflict, input that is not UTF-8 or I/O
-error, 2 usage error.
+error, 2 usage error.  `run(argv, stdin, stdout, stderr)` runs one
+command in process and returns its exit code, with the cyclic collector
+paused for the call; `main`, the console entry, exits with it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import os
 import re
 import shutil
 import sys
+from _thread import allocate_lock
 
 from . import dsl, kb, logic, normalizer
 from .model import TOKEN_RE
@@ -296,7 +299,27 @@ def _print_results(store, results, porcelain, out):
     _write_lines(out, lines)
 
 
+_GC_LOCK = allocate_lock()  # `_thread`'s: `threading` would add to every import
+
+
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
+    """Run one command, `argv` without the program name; its exit code.
+
+    The cyclic collector is paused meanwhile and then left as it was:
+    what a command builds is freed by reference counting when it returns.
+    """
+    with _GC_LOCK:  # else another call's re-enable could fall in between
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        return _run(argv, stdin, stdout, stderr)
+    finally:
+        if enabled:
+            with _GC_LOCK:
+                gc.enable()
+
+
+def _run(argv, stdin, stdout, stderr) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -368,8 +391,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def main():  # console entry point
-    # One short-lived call per process, and a KB load makes no reference
-    # cycles: the cyclic collector would only rescan the loaded KB.
+    # Off for the whole process, not only for `run`'s call: the interpreter's
+    # shutdown runs a full collection only if the collector is on.
     gc.disable()
     raise SystemExit(run())
 

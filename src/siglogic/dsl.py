@@ -17,7 +17,7 @@ so a stored row prints as it is.
 
 A line with a plain head and an explicit parameter list, as every KB
 line and every printed ground signature has, is read by one whole-line
-match (`_LINE_RE`).  Any other text (an `EquivIn(` head, a `(?)` list,
+match (`_line_re`).  Any other text (an `EquivIn(` head, a `(?)` list,
 a malformed line) falls back to the scanner, which is also the only
 source of every ParseError.  Both paths share one Const per distinct
 token, one Wildcard per distinct label and one frozen Param per distinct
@@ -74,6 +74,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.match_slot = _slot_re().match
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -102,7 +103,7 @@ class _Scanner:
     def _match(self, what: str):
         # whitespace, a token and an optional `?`: one match at pos; the
         # error path skips the whitespace to report the offset after it
-        m = _SLOT_RE.match(self.text, self.pos)
+        m = self.match_slot(self.text, self.pos)
         if not m:
             self.skip_ws()
             self.fail(what)
@@ -128,8 +129,12 @@ class _Scanner:
 _TOKEN = TOKEN_CHAR + "++"
 # Whitespace, then a slot's token and its wildcard mark as two groups.
 _SLOT = r"\s*(%s)(\??)" % _TOKEN
-_SLOT_RE = re.compile(_SLOT)
-_PARAM_RE = re.compile(_SLOT + r"\s*:" + _SLOT)
+# The patterns of a slot, a parameter and a whole line with a plain head
+# (`_line`), each compiled on the first parse, not at import: a KB load
+# reads none of them.
+_slot_re = functools.cache(lambda: re.compile(_SLOT))
+_param_re = functools.cache(lambda: re.compile(_SLOT + r"\s*:" + _SLOT))
+_line_re = functools.cache(lambda: re.compile(_line(r"\s*", r"\??")))
 
 
 def _line(ws: str, mark: str) -> str:
@@ -147,8 +152,6 @@ def _line(ws: str, mark: str) -> str:
         r"{w}->{s}{w}"
     ).format(s=slot, p=param, w=ws)
 
-
-_LINE_RE = re.compile(_line(r"\s*", r"\??"))
 
 # A line with the `\n`, `\r` or `\r\n` that ends it; the last may have none.
 ANY_LINE = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"
@@ -177,11 +180,11 @@ def _param(type_tok, type_mark, name_tok, name_mark) -> Param:
 
 
 def parse_signature(text: str) -> Signature:
-    m = _LINE_RE.fullmatch(text)
+    m = _line_re().fullmatch(text)
     if m is None:
         return _scan_signature(text)
     g = m.groups()
-    params = _PARAM_RE.finditer(text, m.start(9), m.end(9)) if g[8] else ()
+    params = _param_re().finditer(text, m.start(9), m.end(9)) if g[8] else ()
     return Signature(
         lang=_slot(g[0], g[1]),
         namespace=_slot(g[2], g[3]),

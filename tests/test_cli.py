@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import siglogic
 from siglogic.cli import run
 from siglogic.dsl import parse_signature, print_signature
-from siglogic.model import UNK, Const
+from siglogic.model import UNK, Const, function_key
 from siglogic.kb import (
     FactStore, LineError, dump_facts, ingest_signature, load_kb, load_links,
 )
@@ -129,6 +130,30 @@ def test_a_cli_call_imports_no_module_it_does_not_need(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "[]\n")
     assert proc.stdout.startswith("ingested 1 signatures")
     assert os.path.exists(kb_file + ".rows")
+
+
+def test_a_facts_call_on_a_ground_kb_compiles_no_parse_pattern(kb_path):
+    # A fresh process, as each pattern is compiled once per process: the
+    # slot, parameter and whole-line patterns serve parses, and a ground
+    # KB's load reads its own pattern (the positive control).
+    env = dict(os.environ, PYTHONPATH=str(Path(siglogic.__file__).parents[1]))
+    script = (
+        "import re, sys\n"
+        "compiled, compile_ = [], re.compile\n"
+        "re.compile = lambda p, flags=0: compiled.append(p) or compile_(p, flags)\n"
+        "import siglogic.cli as cli\n"
+        "assert cli.run(['facts', '--kb', %r]) == 0\n"
+        "seen, dsl = list(compiled), cli.dsl\n"
+        "assert dsl.lines_re(dsl._KB_LINE).pattern in seen\n"
+        "print([f().pattern in seen for f in (dsl._slot_re, dsl._param_re, dsl._line_re)],"
+        " file=sys.stderr)\n"
+    ) % kb_path
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "[False, False, False]\n")
+    assert proc.stdout.startswith("class(")
 
 
 def test_console_entry_point_exit_codes():
@@ -688,6 +713,172 @@ def test_the_kb_pattern_is_compiled_on_the_first_load_only(kb_path, monkeypatch)
     pattern = fresh.dsl.lines_re(fresh.dsl._KB_LINE).pattern
     assert pattern not in compiled[:imported]
     assert compiled[imported:].count(pattern) == 1
+
+
+@pytest.fixture
+def collector_on():
+    """Run the test with the cyclic collector on, and put back its state."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not enabled:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_run_puts_back_the_collector_state_it_found(
+    kb_path, tmp_path, monkeypatch, collector_on, enabled,
+):
+    from siglogic import kb
+
+    bad_kb = tmp_path / "bad.txt"
+    bad_kb.write_text("not a signature\n", encoding="utf-8")
+    cold_kb = tmp_path / "cold.txt"  # no snapshot, so the load reads the text
+    cold_kb.write_text(JAVA_MAX + "\n", encoding="utf-8")
+    paused = []
+
+    def fail(text, path):
+        paused.append(not gc.isenabled())
+        raise RuntimeError("load failed")
+
+    if not enabled:
+        gc.disable()
+    for argv, code in [
+        (["query", WILDCARD_QUERY, "--kb", kb_path], 0),
+        (["facts", "--kb", str(bad_kb)], 1),
+        (["query", WILDCARD_QUERY], 2),
+    ]:
+        assert _run(argv)[0] == code
+        assert gc.isenabled() is enabled
+    monkeypatch.setattr(kb, "load_kb", fail)
+    with pytest.raises(RuntimeError, match="load failed"):
+        _run(["query", WILDCARD_QUERY, "--kb", str(cold_kb)])
+    assert gc.isenabled() is enabled
+    assert paused == [True]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_run_calls_in_threads_put_back_the_collector_state(
+    monkeypatch, collector_on, enabled,
+):
+    import threading
+
+    codes = []
+
+    def calls():
+        for _ in range(100):
+            codes.append(_run(["compile"], JAVA_MAX + "\n")[0])
+
+    # overlapping calls may leave sys's streams swapped: argparse's output
+    # is redirected through them
+    monkeypatch.setattr(sys, "stdout", sys.stdout)
+    monkeypatch.setattr(sys, "stderr", sys.stderr)
+    if not enabled:
+        gc.disable()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # a thread switch between nearly any two steps
+    try:
+        threads = [threading.Thread(target=calls) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert codes == [0] * 100 * len(threads)
+    assert gc.isenabled() is enabled
+
+
+def test_a_call_that_ends_cannot_re_enable_between_anothers_check_and_pause(monkeypatch):
+    import threading
+
+    from siglogic import cli
+
+    paused = threading.Event()  # the first call has paused the collector
+    release = threading.Event()  # the first call may return
+    ended = threading.Event()  # the first call has returned
+
+    class Collector:  # gc as `run` sees it: the second call's check waits
+        on = True
+
+        def isenabled(self):
+            on = self.on
+            if threading.current_thread() is second:
+                release.set()
+                ended.wait(timeout=0.5)  # at once, unless the first call waits for it
+            return on
+
+        def disable(self):
+            self.on = False
+            paused.set()
+
+        def enable(self):
+            self.on = True
+
+    def command(*args):
+        if threading.current_thread() is first:
+            release.wait(timeout=5)
+        return 0
+
+    collector = Collector()
+    monkeypatch.setattr(cli, "gc", collector)
+    monkeypatch.setattr(cli, "_run", command)
+    first = threading.Thread(target=lambda: (cli.run([]), ended.set()))
+    second = threading.Thread(target=cli.run, args=([],))
+    first.start()
+    assert paused.wait(timeout=5)
+    second.start()
+    for t in (first, second):
+        t.join(timeout=10)
+    assert not first.is_alive() and not second.is_alive()
+    assert collector.on
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_an_in_process_call_runs_no_collection(tmp_path, collector_on, warm):
+    # about 2k rows: enough allocations for the collector to start on its
+    # own several times a call were it on
+    lines = _kb_lines(random.Random(7), 2000)
+    kb_file = tmp_path / "kb.txt"
+    kb_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    java, python = (next(line for line in lines if line.startswith(lang + " "))
+                    for lang in ("java", "python"))
+    eq_file = tmp_path / "links.txt"
+    eq_file.write_text("%s\t%s\n" % tuple(
+        function_key(parse_signature(line)).text for line in (java, python)))
+    name = parse_signature(java).head.token
+    kb_path, rows = str(kb_file), Path(str(kb_file) + ".rows")
+    calls = [
+        ["query", "java N? C?::%s(?) -> r?" % name, "--kb", kb_path],
+        ["query", "l? N? C?::f?(?) -> bool", "--kb", kb_path],
+        ["query", "l? N? C?::f?(t?:p?) -> t?", "--kb", kb_path],
+        ["equiv", "java N? C?::EquivIn(%s,python)(?) -> r?" % name,
+         "--kb", kb_path, "--eq", str(eq_file)],
+        ["facts", "--kb", kb_path],
+        ["ingest", "--kb", kb_path],
+    ]
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    for argv in calls:
+        stdin = JAVA_MAX + "\n"
+        if warm:
+            assert _run(argv, stdin)[0] == 0  # writes the snapshot the call reads
+        else:
+            rows.unlink(missing_ok=True)
+        streams = io.StringIO(stdin), io.StringIO(), io.StringIO()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = run(argv, *streams)
+        finally:
+            gc.callbacks.remove(count)
+        assert code == 0 and streams[1].getvalue() != "0 results\n", argv
+        assert started == [], argv
 
 
 def test_failed_ingest_leaves_kb_unchanged(kb_path, tmp_path, monkeypatch):
