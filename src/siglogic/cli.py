@@ -18,7 +18,8 @@ reads each file and hands it to the library's loader (`kb.load_kb`,
 it prints.
 
 Beside a KB the CLI keeps its row snapshot, `<kb>.rows`, as Python keeps
-`__pycache__`: the loaded rows in `marshal` form, about the KB's size,
+`__pycache__`: the loaded rows, their fact count and the namespace and
+class identities they share, in `marshal` form, about the KB's size,
 with a digest of the KB's bytes (`kb.kb_digest`, `kb.dump_snapshot`).  A
 KB-reading command loads the store from it when it matches the KB
 (`kb.load_snapshot`), and else from the text, and then writes it, which
@@ -131,7 +132,7 @@ def _decode(path, data) -> str:
         raise kb.LineError(path, lineno, "invalid UTF-8: %s" % e.reason)
 
 
-_LINE_RE = re.compile(dsl.ANY_LINE)
+_line_re = functools.cache(lambda: re.compile(dsl.ANY_LINE))  # only input lines read it
 
 
 def _lines(text):
@@ -139,7 +140,7 @@ def _lines(text):
 
     Lines end at `\n`, `\r` or `\r\n`, as in Python's text mode.
     """
-    for i, m in enumerate(_LINE_RE.finditer(text), start=1):
+    for i, m in enumerate(_line_re().finditer(text), start=1):
         line = m.group()
         if line.strip():
             yield i, line.rstrip("\r\n")

@@ -7,7 +7,8 @@ text stays the only store of record.  A load (`load_kb`) reads each
 ground KB line into its row (`dsl.read_rows`) and counts its facts once
 from its keys (`_count_facts`), and `load_links` reads a links text into
 an EquivStore; `dump_snapshot` and `load_snapshot` turn a loaded store
-into bytes and back, checked against the digest of the KB's bytes
+(its rows, its fact count and the identities its functions share) into
+bytes and back, checked against the digest of the KB's bytes
 (`kb_digest`); the CLI reads the files, calls these and prints a stored
 function from its row (`dsl.print_row`, through `FactStore.rows`); a
 Signature is built again (`reconstruct_signature`) only for a library
@@ -28,8 +29,10 @@ signatures with wildcards.  Each is read once into a matcher
 its arity, and the query's constant slots (row position i is query slot
 i) before it reads any label, and returns the label pairs sorted, so a
 result `Binding` is one tuple built as is; a query with a constant name,
-or else a constant ret, reads only that slot's posting list, and one with
-neither but an exact parameter list only the rows of its length.  The
+or else a constant ret, reads only the rows with that slot's token, and
+one with neither but an exact parameter list only the rows of its length:
+the first such query filters the rows, and the second builds the posting
+list that later ones read.  The
 backtracking unifier of the query's compiled atoms against the facts is
 kept as the oracle, `brute_force_answer`.
 """
@@ -42,7 +45,8 @@ import sys
 from collections import defaultdict, namedtuple
 from functools import partial
 from math import inf
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import attrgetter, floordiv, itemgetter, sub
 from types import MappingProxyType
 
 try:
@@ -168,7 +172,8 @@ class FactStore:
     namespace, class) identities seen: their namespace and class atoms are
     the only facts functions share.  Its posting lists, `(key, row)` pairs
     by their name token, their ret token or their row's length, are built
-    by `answer` on first use and all dropped by a new row.
+    by `answer` on the second query that reads one (the first filters the
+    rows) and all dropped by a new row.
     """
 
     def __init__(self):
@@ -176,7 +181,8 @@ class FactStore:
         self.keys, self.rows = self._rows.keys(), MappingProxyType(self._rows)
         self._shared = set()
         self._size = 0
-        # 3 (name) or 4 (ret) -> {token: [items]}; len -> {row length: [items]}
+        # 3 (name) or 4 (ret) -> {token: [items]}; len -> {row length: [items]};
+        # None for a list that one query has needed, and no list yet
         self._index = {}
 
     def __len__(self):
@@ -286,7 +292,7 @@ def load_kb(text: str, path: str = "<kb>") -> FactStore:
 # and what wrote it.
 SNAPSHOT_MAGIC = b"\0siglogic rows\n"
 _SNAPSHOT_HEADER = (
-    "siglogic rows", 2, __version__, sys.version_info[:2], marshal.version,
+    "siglogic rows", 3, __version__, sys.version_info[:2], marshal.version,
 )
 _DIGEST = len(SNAPSHOT_MAGIC) + 16  # the digest's end, the blob's start
 
@@ -308,10 +314,13 @@ def dump_snapshot(store: FactStore, digest: bytes) -> tuple:
     """The row snapshot of a store loaded from, or written as, the KB bytes
     of `digest` (`kb_digest`), as two parts to be written in turn (joining
     them would copy the blob): `SNAPSHOT_MAGIC` and a 16-byte blake2b
-    digest of `digest` and the blob, then one `marshal` blob of a header
-    and the rows.  `marshal` keeps object identity within a blob, so the
-    rows share their tokens as a text load's do."""
-    blob = marshal.dumps((_SNAPSHOT_HEADER, tuple(store._rows.values())))
+    digest of `digest` and the blob, then one `marshal` blob of a header,
+    the rows, the fact count and the shared identities, sorted so that
+    equal stores write equal bytes.  `marshal` keeps object identity
+    within a blob, so the rows share their tokens as a text load's do."""
+    blob = marshal.dumps((
+        _SNAPSHOT_HEADER, tuple(store._rows.values()), store._size, sorted(store._shared),
+    ))
     return SNAPSHOT_MAGIC + _snapshot_digest(digest, blob), blob
 
 
@@ -323,14 +332,15 @@ def load_snapshot(snapshot: bytes, digest: bytes) -> FactStore | None:
 
     The digest is checked before the blob is decoded: `marshal` may crash
     the process on bytes it did not write, and a changed byte anywhere
-    changes the digest.  Only the rows are read from the blob: each key
-    and the facts are derived from them as `load_kb` derives them."""
+    changes the digest.  The fact count and the shared identities are
+    taken as stored; each key is derived from its row as `load_kb`
+    derives it."""
     blob = memoryview(snapshot)[_DIGEST:]
     if (not snapshot.startswith(SNAPSHOT_MAGIC)
             or snapshot[len(SNAPSHOT_MAGIC):_DIGEST] != _snapshot_digest(digest, blob)):
         return None
     try:
-        header, rows = marshal.loads(blob)
+        header, rows, size, shared = marshal.loads(blob)
     except (EOFError, ValueError, TypeError):  # another Python's blob, say
         return None
     finally:
@@ -339,11 +349,12 @@ def load_snapshot(snapshot: bytes, digest: bytes) -> FactStore | None:
         return None
     store = FactStore()
     # a row (lang, namespace, class, name, ret, t1, n1, …, tn, nn, vararg)
-    # is 6 + 2n long; its key is read as dsl.read_rows reads it
-    store._rows.update(
-        {unchecked_key((*row[:4], (len(row) - 6) >> 1)): row for row in rows}
-    )
-    _count_facts(store, store.keys)
+    # is 6 + 2n long; its key, read as dsl.read_rows reads it, is built by
+    # maps at C level, with no Python frame per row
+    arities = map(floordiv, map(sub, map(len, rows), repeat(6)), repeat(2))
+    keys = map(unchecked_key, zip(*(map(itemgetter(i), rows) for i in range(4)), arities))
+    store._rows.update(zip(keys, rows))
+    store._size, store._shared = size, set(shared)
     return store
 
 
@@ -458,8 +469,9 @@ def answer(store: FactStore, query: Signature) -> set:
     as is (`_binding`).
     It runs over the posting list of the query's constant (UNK too) name,
     else of its constant ret, else, for an exact parameter list of k
-    params, of the rows `6 + 2k` long, built on the first query that needs
-    it; a `,...` or `(?)` query with neither constant reads every row.
+    params, of the rows `6 + 2k` long.  The first query that needs a list
+    filters the rows for its value, and the second builds the list; a
+    `,...` or `(?)` query with neither constant reads every row.
     """
     if isinstance(query.head, EquivIn):
         raise UnsupportedHead("EquivIn queries go through answer_equiv")
@@ -472,13 +484,17 @@ def answer(store: FactStore, query: Signature) -> set:
         (len, 6 + 2 * len(query.params) if exact else None),
     ):
         if value is not None:
-            postings = store._index.get(by)
-            if postings is None:
-                read = len if by is len else itemgetter(by)
-                postings = store._index[by] = defaultdict(list)
-                for item in rows:
-                    postings[read(item[1])].append(item)
-            rows = postings.get(value, ())
+            read = len if by is len else itemgetter(by)
+            postings = store._index.get(by, False)
+            if postings is False:  # the first query that needs the list filters
+                store._index[by] = None
+                rows = [item for item in rows if read(item[1]) == value]
+            else:
+                if postings is None:  # and the second builds it
+                    postings = store._index[by] = defaultdict(list)
+                    for item in rows:
+                        postings[read(item[1])].append(item)
+                rows = postings.get(value, ())
             break
     results = set()
     for key, row in rows:

@@ -134,8 +134,9 @@ def test_a_cli_call_imports_no_module_it_does_not_need(tmp_path):
 
 def test_a_facts_call_on_a_ground_kb_compiles_no_parse_pattern(kb_path):
     # A fresh process, as each pattern is compiled once per process: the
-    # slot, parameter and whole-line patterns serve parses, and a ground
-    # KB's load reads its own pattern (the positive control).
+    # slot, parameter and whole-line patterns serve parses, the CLI's line
+    # pattern input files, and a ground KB's load reads its own pattern
+    # (the positive control).
     env = dict(os.environ, PYTHONPATH=str(Path(siglogic.__file__).parents[1]))
     script = (
         "import re, sys\n"
@@ -145,14 +146,14 @@ def test_a_facts_call_on_a_ground_kb_compiles_no_parse_pattern(kb_path):
         "assert cli.run(['facts', '--kb', %r]) == 0\n"
         "seen, dsl = list(compiled), cli.dsl\n"
         "assert dsl.lines_re(dsl._KB_LINE).pattern in seen\n"
-        "print([f().pattern in seen for f in (dsl._slot_re, dsl._param_re, dsl._line_re)],"
-        " file=sys.stderr)\n"
+        "print([f().pattern in seen for f in"
+        " (dsl._slot_re, dsl._param_re, dsl._line_re, cli._line_re)], file=sys.stderr)\n"
     ) % kb_path
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert (proc.returncode, proc.stderr) == (0, "[False, False, False]\n")
+    assert (proc.returncode, proc.stderr) == (0, "[False, False, False, False]\n")
     assert proc.stdout.startswith("class(")
 
 
@@ -997,6 +998,52 @@ def test_a_stale_or_damaged_snapshot_changes_no_output(tmp_path, eq_path, case, 
         assert rows.read_bytes() == damaged
     else:  # replaced by the snapshot of the KB
         assert _snapshot_of(kb_file).rows == load_kb(kb_file.read_text()).rows
+
+
+def test_a_format_2_snapshot_is_passed_over_and_rewritten_as_format_3(kb_path):
+    import marshal
+
+    from siglogic import kb
+
+    argv = ["query", WILDCARD_QUERY, "--kb", kb_path, "--porcelain"]
+    expected = _run(argv)  # with no snapshot
+    data = Path(kb_path).read_bytes()
+    digest = kb.kb_digest(data)
+    # format 2 held the header and the rows alone
+    header = ("siglogic rows", 2, *kb._SNAPSHOT_HEADER[2:])
+    blob = marshal.dumps((header, tuple(load_kb(data.decode()).rows.values())))
+    rows = Path(kb_path + ".rows")
+    rows.write_bytes(kb.SNAPSHOT_MAGIC + kb._snapshot_digest(digest, blob) + blob)
+    assert kb.load_snapshot(rows.read_bytes(), digest) is None
+    assert _run(argv) == expected and expected[0] == 0
+    assert marshal.loads(rows.read_bytes()[kb._DIGEST:])[0][1] == 3
+    store, loaded = _snapshot_of(kb_path), load_kb(data.decode())
+    assert (store.rows, len(store)) == (loaded.rows, len(loaded))
+    assert _no_tmp(rows.parent)
+
+
+def test_equal_kbs_get_byte_identical_snapshots_whatever_the_hash_seed(tmp_path):
+    # A set's order follows PYTHONHASHSEED, so a snapshot that held its
+    # shared identities in set order would differ from process to process.
+    text = "".join(
+        "%s ns%d C%d::f%d(long:a) -> long\n" % (lang, i % 4, i % 7, i)
+        for i, lang in enumerate(["java", "python", "go"] * 10)
+    )
+    snapshots = []
+    for seed in ("0", "1"):
+        kb_file = tmp_path / seed / "kb.txt"
+        kb_file.parent.mkdir()
+        kb_file.write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(siglogic.__file__).parents[1]),
+                   PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "siglogic.cli", "facts", "--kb", str(kb_file)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        snapshots.append(Path(str(kb_file) + ".rows").read_bytes())
+    assert snapshots[0] == snapshots[1]
+    assert len(_snapshot_of(kb_file)._shared) > 20  # namespaces and classes
 
 
 @pytest.mark.parametrize("case", [None] + _DAMAGE)

@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 import random
 from pathlib import Path
@@ -1175,16 +1176,25 @@ def test_a_query_without_a_constant_name_or_ret_examines_every_row(counted):
 
 def test_the_index_is_built_once_and_dropped_by_a_new_row(counted):
     store = _seeded_store(1000)
+    # a first query filters the rows for its name and builds no list
     query = parse_signature("java lang Math::f7(?) -> r?")
     first = answer(store, query)
+    assert store._index == {3: None}
+    assert counted() == _rows_with(store, 3, "f7")
+    # the second that needs the name list builds it, and answers the same
+    assert answer(store, query) == first
     postings = store._index[3]
+    assert postings["f7"] and set(store._index) == {3}
     seen = counted()
     assert answer(store, parse_signature("l? N? C?::f8(?) -> r?"))
     assert store._index[3] is postings and set(store._index) == {3}
+    assert counted() - seen == _rows_with(store, 3, "f8")
     join = parse_signature("l? N? C?::f?(t?:p0) -> t?")
-    assert answer(store, join)
+    joined = answer(store, join)
+    assert joined and store._index[len] is None
+    assert answer(store, join) == joined
     lengths = store._index[len]
-    assert answer(store, join)
+    assert answer(store, join) == joined
     assert store._index[len] is lengths and set(store._index) == {3, len}
     # an identical re-ingest or a conflict stores nothing, so keeps the index
     sig = reconstruct_signature(store, min(store.keys))
@@ -1192,12 +1202,14 @@ def test_the_index_is_built_once_and_dropped_by_a_new_row(counted):
     with pytest.raises(KeyConflict):
         ingest_signature(store, _conflicting(sig))
     assert store._index[3] is postings and store._index[len] is lengths
+    # a new row drops every list, so the next query filters again
     new = parse_signature("java lang Math::f7(int:p0,int:p1,int:p2,int:p3) -> int")
     ingest_signature(store, new)
     assert store._index == {}
     before = counted()
     assert answer(store, query) == first | {Binding(function_key(new), (("r", "int"),))}
-    assert counted() - before == seen + 1
+    assert counted() - before == _rows_with(store, 3, "f7")
+    assert store._index == {3: None}
 
 
 def test_the_readme_library_example_answers_as_documented():
@@ -1309,7 +1321,7 @@ def test_a_row_snapshot_loads_the_store_its_text_loads(text):
 
 def test_a_row_snapshot_holds_its_header_and_rows_as_pinned_here():
     # Whatever a snapshot holds is read back as is: a change to it, the
-    # row layout included, must change the format tag (2) as well as this
+    # row layout included, must change the format tag (3) as well as this
     # test, so that no snapshot written before is read as one of the new.
     import hashlib
     import marshal
@@ -1323,18 +1335,20 @@ def test_a_row_snapshot_holds_its_header_and_rows_as_pinned_here():
     head, blob = dump_snapshot(load_kb(text), digest)
     assert head == kb.SNAPSHOT_MAGIC + hashlib.blake2b(digest + blob).digest()[:16]
     assert marshal.loads(blob) == (
-        ("siglogic rows", 2, __version__, sys.version_info[:2], marshal.version),
+        ("siglogic rows", 3, __version__, sys.version_info[:2], marshal.version),
         (
             ("java", "lang", "Math", "max", "long", "long", "a", "long", "b", False),
             ("java", "lang", "Math", "abs", "int", "int", "a", True),
         ),
+        # 6 + 3*2 and 6 + 3*1 of their own, one namespace and one class atom
+        23,
+        [("java", "lang"), ("java", "lang", "Math")],
     )
     store = load_snapshot(head + blob, digest)
     assert list(store.keys) == [
         FunctionKey("java", "lang", "Math", "max", 2),
         FunctionKey("java", "lang", "Math", "abs", 1),
     ]
-    # 6 + 3*2 and 6 + 3*1 of their own, one namespace and one class atom
     assert (len(store), store._shared) == (
         23, {("java", "lang"), ("java", "lang", "Math")}
     )
@@ -1393,4 +1407,6 @@ def test_a_kb_without_the_builtin_blake2_module_still_loads_its_snapshot():
         "assert list(loaded.rows.items()) == list(store.rows.items())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, check=True)
+    # -B: the child writes no bytecode beside the sources
+    subprocess.run([sys.executable, "-B", "-c", code],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)
