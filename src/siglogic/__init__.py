@@ -47,6 +47,7 @@ from .kb import (
     answer_equiv,
     brute_force_answer,
     dump_facts,
+    fact_text,
     ingest_signature,
     load_kb,
     load_links,
@@ -94,6 +95,7 @@ __all__ = [
     "answer_equiv",
     "brute_force_answer",
     "dump_facts",
+    "fact_text",
     "ingest_signature",
     "load_kb",
     "load_links",

@@ -50,7 +50,7 @@ import os
 import re
 import shutil
 import sys
-from _thread import allocate_lock
+from _thread import allocate_lock, get_ident
 
 from . import dsl, kb, logic, normalizer
 from .model import TOKEN_RE
@@ -60,9 +60,24 @@ _DIALECTS = {d.value: d for d in Dialect}  # each dialect by its name
 _NORMALIZED = Dialect.NORMALIZED  # bound once: a member read off its class is slow
 
 
+_streams = {}  # thread id -> the (stdout, stderr) of the call parsing there
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that prints to the streams of the call that runs it in
+    this thread, not to `sys`'s, which every thread shares: help to its
+    stdout, usage and errors to its stderr."""
+
+    def _print_message(self, message, file=None):  # argparse's one sink
+        out, err = _streams[get_ident()]
+        if message:
+            with contextlib.suppress(AttributeError, OSError):  # as argparse's own
+                (out if file is sys.stdout else err).write(message)
+
+
 @functools.cache  # built on the first call, not at import; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siglogic",
         description="Signature DSL, logic compiler, and knowledge-base queries",
     )
@@ -278,8 +293,8 @@ def _parse(text):
 
 
 def _write_lines(out, lines):
-    """Each line and a newline, 1024 lines a write: fewer calls than a
-    print per line, less memory than one string of them all."""
+    """Each result line and a newline, 1024 lines a write: fewer calls
+    than a print per line, less memory than one string of them all."""
     for i in range(0, len(lines), 1024):
         out.write("\n".join(lines[i:i + 1024]) + "\n")
 
@@ -324,14 +339,15 @@ def _run(argv, stdin, stdout, stderr) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
+    _streams[get_ident()] = out, err
     try:
-        # argparse prints help to sys.stdout and usage errors to sys.stderr
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _build_parser().parse_args(argv)
-            if "dialect" in args:
-                _check_lang(args)
+        args = _build_parser().parse_args(argv)
+        if "dialect" in args:
+            _check_lang(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    finally:
+        del _streams[get_ident()]
 
     try:
         if args.command == "normalize":
@@ -374,7 +390,8 @@ def _run(argv, stdin, stdout, stderr) -> int:
         else:  # query, equiv and facts read the KB, then the links, then the query
             store = _load_kb(args.kb)
             if args.command == "facts":
-                _write_lines(out, kb.dump_facts(store))
+                for block in kb.fact_text(store):  # sorted lines, a group at a time
+                    out.write(block)
             else:
                 eqs = kb.load_links(_read(args.eq), args.eq) if "eq" in args else None
                 try:

@@ -14,12 +14,15 @@ function from its row (`dsl.print_row`, through `FactStore.rows`); a
 Signature is built again (`reconstruct_signature`) only for a library
 caller and the oracle.  Facts are derived on demand:
 a row's atom layout (`logic.signature_atoms`, which `compile_signature`
-lays out over binders) is laid out over witnesses.  `dump_facts` lays
+lays out over binders) is laid out over witnesses.  `fact_text` lays
 it out once per row length and call, over template fields with
-`call_text` and `str` as builders, into `%`-templates of the printed
-lines: a row's own facts per row, the namespace and class facts they
-share once per identity the store keeps; the oracle path (`FactStore.facts`,
-`brute_force_answer`) passes `Const`s and builds `Atom`s.  A witness is
+`call_text` and `str` as builders, into templates of the printed lines
+grouped by their text before the first witness, and yields each group's
+lines as one block, already in sorted order: a row's own facts per row,
+in key order, the namespace and class facts they share once per
+identity the store keeps; `dump_facts` is its blocks' lines.  The
+oracle path (`FactStore.facts`, `brute_force_answer`) passes `Const`s
+and builds `Atom`s.  A witness is
 a plain string derived from the function's identity (a `str` never
 equals a `Const`, so a witness cannot pass for a token).  Namespace
 witnesses are shared across functions of the same (lang, namespace);
@@ -45,8 +48,8 @@ import sys
 from collections import defaultdict, namedtuple
 from functools import partial
 from math import inf
-from itertools import repeat
-from operator import attrgetter, floordiv, itemgetter, sub
+from itertools import chain, repeat
+from operator import add, attrgetter, call, floordiv, itemgetter, mod, sub
 from types import MappingProxyType
 
 try:
@@ -647,28 +650,61 @@ def answer_equiv(facts: FactStore, eqs: EquivStore, query: Signature) -> set:
     return results
 
 
-def dump_facts(store: FactStore) -> list:
-    """All facts as canonical text atoms, sorted; deterministic.
+def fact_text(store: FactStore):
+    """All facts as canonical text atoms, sorted and deterministic, in
+    blocks of whole lines, each ending `\\n`, to be written as they come:
+    joined, they are `dump_facts`' lines, in order with no sort of them.
 
-    Each row's own facts are printed from the `%`-template of its length
-    (`_fact_templates`), built by the first such row of this call: one
-    fill and one split a row.  The namespace and class facts functions
-    share are printed once per identity in `store._shared`, not per row.
+    A block is one group of lines, those alike up to their first witness
+    (`_fact_groups`, laid out once per row length and call), and the
+    groups come in that text's order, as no group's text begins another's.
+    Within a group the rows come in the order of their key text followed
+    by the character after it in the group's lines (`,` after `fn:` and
+    `ret:`, `|` after `par:`), which orders `…|f|1` and `…|f|10` as their
+    lines sort, and a row's own lines come sorted in its layout.  A group
+    laid out alike at every row length the store holds is filled by
+    joining columns at C level, any other from the `%`-template of each
+    row's length.  The namespace and class facts functions share are
+    printed once per identity in `store._shared`, not per row.
     """
-    templates, lines = {}, []
-    for key, row in store._rows.items():
-        t = templates.get(len(row))
-        if t is None:
-            t = templates[len(row)] = _fact_templates(len(row))
-        (own, read_own), shared = t
-        lines += (own % read_own(row + (key.text,))).split("\n")
-    # the shared templates read no parameter, so any row's are right, and
-    # a store without rows has no identities
-    for identity in store._shared:
-        common, read_common = shared[len(identity)]
-        lines.append(common % read_common(identity))
-    lines.sort()
-    return lines
+    rows = store._rows
+    # by the length of a row with its key text appended, as they are filled
+    layouts = {width + 1: _fact_groups(width) for width in set(map(len, rows.values()))}
+    by_text = dict(zip(map(FunctionKey.text.fget, rows), rows.values()))
+    ordered = {}  # separator -> each row with its key text appended, in order
+    for prefix in sorted({prefix for groups in layouts.values() for prefix in groups}):
+        texts = [groups.get(prefix, "") for groups in layouts.values()]
+        text = next(filter(None, texts))  # laid out at some length
+        if "{-1}" not in text:  # a shared fact, read from an identity
+            fill, read = _template(text)
+            n = 1 + max(map(int, _FIELD.findall(text)))
+            yield "".join(sorted(fill % read(i) for i in store._shared if len(i) == n))
+            continue
+        sep = text[text.index("{-1}") + 4]
+        if sep not in ordered:
+            order = sorted(by_text, key=("%s" + sep).__mod__)
+            ordered[sep] = list(map(add, map(by_text.__getitem__, order), zip(order)))
+        full = ordered[sep]
+        if len(set(texts)) == 1:  # one layout: literal and field columns
+            pieces = _FIELD.split(text)
+            yield "".join(chain.from_iterable(zip(*(
+                map(itemgetter(int(p)), full) if i % 2 else repeat(p)
+                for i, p in enumerate(pieces)
+            ))))
+        else:  # each row's template and fields, by its length
+            fill, read = zip(*map(_template, texts))
+            fill, read = dict(zip(layouts, fill)), dict(zip(layouts, read))
+            lengths = list(map(len, full))
+            yield "".join(map(
+                mod, map(fill.__getitem__, lengths),
+                map(call, map(read.__getitem__, lengths), full),
+            ))
+
+
+def dump_facts(store: FactStore) -> list:
+    """All facts as canonical text atoms, sorted; deterministic: the lines
+    of `fact_text`'s blocks, `[]` for an empty store."""
+    return "".join(fact_text(store)).split("\n")[:-1]
 
 
 class _KeyField(FunctionKey):
@@ -681,30 +717,30 @@ class _KeyField(FunctionKey):
 _FIELD = re.compile(r"\{(-?\d+)\}")
 
 
-def _fact_templates(width: int) -> tuple:
-    """The printed facts of a stored row `width` long as `%`-templates,
-    each with the itemgetter of the values it is filled with: the
-    function's own facts as lines joined by `\\n`, and the namespace and
-    class facts it shares by the length (2, 3) of the identity they read.
+def _fact_groups(width: int) -> dict:
+    """The printed facts of a stored row `width` long as templates by
+    group, the text before their first field: each group's lines sorted,
+    each ending `\\n`, with a field `{i}` for row position i and `{-1}`
+    for the key's text.
 
-    They are `_skolemize` laid out once over fields: `{i}` for row
-    position i, which the key's first four fields are too, as a stored
-    key's are its row's first four, and `{-1}` for the key's text.  The layout treats
-    its terms as opaque strings, and no token holds `{`, `}`, `%` or a
-    line break (`TOKEN_RE`), so a filled template is the facts' printed
-    lines.
+    They are `_skolemize` laid out once over fields, which the key's
+    first four fields are too, as a stored key's are its row's first
+    four.  The layout treats its terms as opaque strings, and no token
+    holds `{`, `}`, `%` or a line break (`TOKEN_RE`), so a filled
+    template is the facts' printed lines; a row's lines of one group
+    differ first in a literal (a parameter's position), after the same
+    fields, so they sort as their templates do.
     """
     fields = tuple("{%d}" % i for i in range(width))
     key = _KeyField._make((*fields[:4], (width - 6) // 2))
-    own, shared = [], {}
+    groups = defaultdict(list)
     for line in _skolemize(key, fields, atom=call_text, app=call_text, const=str):
-        if line.startswith(("namespace(", "class(")):
-            shared[1 + max(map(int, _FIELD.findall(line)))] = _template([line])
-        else:
-            own.append(line)
-    return _template(own), shared
+        groups[line[:line.index("{")]].append(line + "\n")
+    return {prefix: "".join(sorted(lines)) for prefix, lines in groups.items()}
 
 
-def _template(lines) -> tuple:
-    text = "\n".join(lines)
-    return _FIELD.sub("%s", text), itemgetter(*map(int, _FIELD.findall(text)))
+def _template(text: str) -> tuple:
+    """A template's `%`-form and the itemgetter of the values it reads:
+    a tuple, one value, or none for an empty one."""
+    fields = map(int, _FIELD.findall(text))
+    return _FIELD.sub("%s", text), itemgetter(*fields) if text else itemgetter(slice(0))

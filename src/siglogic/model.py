@@ -164,11 +164,10 @@ class FunctionKey(namedtuple("FunctionKey", "lang namespace class_name name arit
             raise ModelError("arity must be >= 0")
         return super().__new__(cls, lang, namespace, class_name, name, arity)
 
-    @property
-    def text(self) -> str:
+    # a C-level getter, so a map over keys reads their texts with no frame each
+    text = property("%s|%s|%s|%s|%d".__mod__, doc=(
         """`lang|ns|class|name|arity`, as witnesses and links files spell
-        the key; `|` lies outside the token charset, so it is injective."""
-        return "%s|%s|%s|%s|%d" % self
+        the key; `|` lies outside the token charset, so it is injective."""))
 
     @classmethod
     def parse(cls, text: str) -> FunctionKey:

@@ -169,10 +169,15 @@ def test_console_entry_point_exit_codes():
 
 
 def test_console_facts_equal_the_library_dump(tmp_path):
-    # enough facts to span several of the CLI's writes
+    # enough facts to span several of the CLI's writes, and one name's
+    # overloads whose keys are prefixes of each other: `…|g-$|1` of
+    # `…|g-$|10`, whose `fn:` lines sort after and `par:` lines before it
     texts = ALL_FIXTURE_SIGS + [
         "java ns%d C%d::f%d(long:a,int:b) -> long" % (i % 3, i % 5, i)
         for i in range(200)
+    ] + [
+        "java a.b$ C-1::g-$(%s) -> x'y" % ",".join("t$1:p'%d" % i for i in range(1, n + 1))
+        for n in (11, 1, 12, 10)
     ]
     kb_file = tmp_path / "kb.txt"
     kb_file.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
@@ -180,7 +185,10 @@ def test_console_facts_equal_the_library_dump(tmp_path):
     for text in texts:
         ingest_signature(store, parse_signature(text))
     lines = dump_facts(store)
-    assert len(lines) > 2048
+    assert len(lines) > 2048 and lines == sorted(lines)
+    key = "java|a.b$|C-1|g-$|"
+    assert lines.index("fun(fn:%s1,g-$)" % key) < lines.index("fun(fn:%s10,g-$)" % key)
+    assert lines.index("var(par:%s10|1,p'1)" % key) < lines.index("var(par:%s1|1,p'1)" % key)
     expected = "".join(line + "\n" for line in lines)
     assert _run_script(["facts", "--kb", str(kb_file)], "") == (0, expected, "")
 
@@ -759,9 +767,7 @@ def test_run_puts_back_the_collector_state_it_found(
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-def test_run_calls_in_threads_put_back_the_collector_state(
-    monkeypatch, collector_on, enabled,
-):
+def test_run_calls_in_threads_put_back_the_collector_state(collector_on, enabled):
     import threading
 
     codes = []
@@ -770,10 +776,7 @@ def test_run_calls_in_threads_put_back_the_collector_state(
         for _ in range(100):
             codes.append(_run(["compile"], JAVA_MAX + "\n")[0])
 
-    # overlapping calls may leave sys's streams swapped: argparse's output
-    # is redirected through them
-    monkeypatch.setattr(sys, "stdout", sys.stdout)
-    monkeypatch.setattr(sys, "stderr", sys.stderr)
+    streams = sys.stdout, sys.stderr
     if not enabled:
         gc.disable()
     interval = sys.getswitchinterval()
@@ -789,6 +792,39 @@ def test_run_calls_in_threads_put_back_the_collector_state(
     assert not any(t.is_alive() for t in threads)
     assert codes == [0] * 100 * len(threads)
     assert gc.isenabled() is enabled
+    assert (sys.stdout, sys.stderr) == streams
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["--help"], "stdout"), (["query"], "stderr"),
+], ids=["help", "usage-error"])
+def test_argparse_output_goes_to_the_calls_streams_not_to_sys(argv, blocked):
+    # one call's argparse output blocks inside its stream's write, and
+    # meanwhile this thread's sys streams are still its own
+    import threading
+
+    writing, release = threading.Event(), threading.Event()
+
+    class Blocking(io.StringIO):
+        def write(self, text):
+            writing.set()
+            release.wait(timeout=60)
+            return super().write(text)
+
+    streams = {"stdout": io.StringIO(), "stderr": io.StringIO(), blocked: Blocking()}
+    own = sys.stdout, sys.stderr
+    codes = []
+    call = threading.Thread(target=lambda: codes.append(run(argv, **streams)))
+    call.start()
+    try:
+        assert writing.wait(timeout=60)
+        during = sys.stdout, sys.stderr
+    finally:
+        release.set()
+        call.join(timeout=60)
+    assert during == own and (sys.stdout, sys.stderr) == own
+    assert codes == [0 if blocked == "stdout" else 2]
+    assert streams[blocked].getvalue().startswith("usage: siglogic")
 
 
 def test_a_call_that_ends_cannot_re_enable_between_anothers_check_and_pause(monkeypatch):

@@ -21,6 +21,7 @@ from siglogic.kb import (
     brute_force_answer,
     dump_facts,
     dump_snapshot,
+    fact_text,
     ingest_signature,
     kb_digest,
     load_kb,
@@ -564,6 +565,31 @@ def test_dump_facts_agrees_with_the_oracle_over_the_charset(sigs):
 
 def test_dump_empty_store():
     assert dump_facts(FactStore()) == []
+    assert list(fact_text(FactStore())) == []
+
+
+def test_fact_text_blocks_are_whole_sorted_lines_in_output_order():
+    # several row lengths, `…|1` a prefix of `…|10`, and identities shared
+    # by the overloads and by the fixtures' functions
+    sigs = _overloads(12, 0, 1, 10, 2, 11) + [parse_signature(t) for t in ALL_FIXTURE_SIGS]
+    store = FactStore()
+    for sig in sigs:
+        ingest_signature(store, sig)
+    blocks = list(fact_text(store))
+    assert all(block.endswith("\n") for block in blocks)
+    lines = [block[:-1].split("\n") for block in blocks]
+    for block_lines in lines:
+        assert block_lines == sorted(block_lines)
+    for before, after in zip(lines, lines[1:]):
+        assert before[-1] < after[0]  # joined, the blocks need no sort
+    joined = [line for block_lines in lines for line in block_lines]
+    assert joined == dump_facts(store) and len(joined) == len(store)
+    # one block per predicate and first witness: class, eq, fun, has_param,
+    # in_class, in_namespace, lang, namespace, type(par:, type(ret:, var
+    assert [line[:line.index(":")] for line in map(min, lines)] == [
+        "class(cls", "eq(ret", "fun(fn", "has_param(fn", "in_class(fn",
+        "in_namespace(fn", "lang(fn", "namespace(ns", "type(par", "type(ret", "var(par",
+    ]
 
 
 def test_ingest_order_independent():
